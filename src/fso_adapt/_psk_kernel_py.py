@@ -1,6 +1,6 @@
 """Numpy implementation of the Gray-PSK demodulation/error-count kernel.
 
-This is the portable fallback; the Cython extension `_psk_kernel`
+This is the portable fallback; the C extension `_psk_kernel`
 implements the same contract.  Given pre-drawn randomness the two are
 bit-identical: the received sample is formed from the shared
 constellation tables with plain multiply/add (no fused contraction on
@@ -18,7 +18,10 @@ import numpy as np
 BACKEND = "numpy"
 
 _SQRT_HALF = math.sqrt(0.5)  # per-dimension noise scale for unit total power
-_ARGMAX_SLAB = 1 << 16  # bounds the (symbols x M) score matrix to ~16 MB
+# Symbols per pass and (symbols x M) argmax scores per pass: they bound the
+# working set to a few MB whatever the batch size.
+_SLAB = 1 << 15
+_SCORES = 1 << 16
 
 
 def count_bit_errors(
@@ -41,35 +44,38 @@ def count_bit_errors(
     noise:    standard normals, interleaved re/im, shape (2 * nb * k,)
     """
     k = symbols_per_block
-    amp_sym = np.repeat(amp, k)
-    m_sym = np.repeat(m_per_block, k)
-    noise_re = noise[0::2]
-    noise_im = noise[1::2]
-
+    orders = [int(m) for m in np.unique(m_per_block) if m >= 2]
+    n_slots = amp.size * k
     errors = 0
-    for m in np.unique(m_sym):
-        m = int(m)
-        if m < 2:
-            continue
-        sel = np.flatnonzero(m_sym == m)
-        base = int(tab_offset[m])
-        idx = (u[sel] * m).astype(np.int64)  # exact: m is a power of two
-        re = amp_sym[sel] * tab_re[base + idx] + _SQRT_HALF * noise_re[sel]
-        im = amp_sym[sel] * tab_im[base + idx] + _SQRT_HALF * noise_im[sel]
-        if m == 2:
-            decided = (re < 0.0).astype(np.int64)
-        else:
-            points_re = tab_re[base : base + m]
-            points_im = tab_im[base : base + m]
-            decided = np.empty(sel.size, dtype=np.int64)
-            for start in range(0, sel.size, _ARGMAX_SLAB):
-                stop = min(start + _ARGMAX_SLAB, sel.size)
-                scores = (
-                    re[start:stop, None] * points_re[None, :]
-                    + im[start:stop, None] * points_im[None, :]
-                )
-                decided[start:stop] = np.argmax(scores, axis=1)
-        sent_gray = idx ^ (idx >> 1)
-        decided_gray = decided ^ (decided >> 1)
-        errors += int(popcount[sent_gray ^ decided_gray].sum())
+    for start in range(0, n_slots, _SLAB):
+        stop = min(start + _SLAB, n_slots)
+        block = np.arange(start, stop) // k
+        m_sym = m_per_block[block]
+        for m in orders:
+            sel = np.flatnonzero(m_sym == m)
+            if sel.size == 0:
+                continue
+            slot = start + sel
+            a = amp[block[sel]]
+            base = int(tab_offset[m])
+            idx = (u[slot] * m).astype(np.int64)  # exact: m is a power of two
+            re = a * tab_re[base + idx] + _SQRT_HALF * noise[2 * slot]
+            im = a * tab_im[base + idx] + _SQRT_HALF * noise[2 * slot + 1]
+            if m == 2:
+                decided = (re < 0.0).astype(np.int64)
+            else:
+                points_re = tab_re[base : base + m]
+                points_im = tab_im[base : base + m]
+                decided = np.empty(sel.size, dtype=np.int64)
+                step = _SCORES // m
+                for lo in range(0, sel.size, step):
+                    hi = min(lo + step, sel.size)
+                    scores = (
+                        re[lo:hi, None] * points_re[None, :]
+                        + im[lo:hi, None] * points_im[None, :]
+                    )
+                    decided[lo:hi] = np.argmax(scores, axis=1)
+            sent_gray = idx ^ (idx >> 1)
+            decided_gray = decided ^ (decided >> 1)
+            errors += int(popcount[sent_gray ^ decided_gray].sum())
     return errors

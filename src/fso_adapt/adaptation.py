@@ -248,9 +248,10 @@ def sweep(
 ) -> list[PerfPoint]:
     """Evaluate the adaptive scheme across an ascending SNR grid (dB).
 
-    Boundaries are recomputed at every point.  Per-point failures are
-    returned as flagged entries (NaN fields plus a note) so a long sweep
-    never aborts midway.
+    Boundaries are recomputed at every point.  Per-point failures
+    (ValueError) are returned as flagged entries (NaN fields plus a note)
+    so a long sweep never aborts midway; any other exception, such as a
+    broken internal invariant, propagates.
     """
     grid = [float(s) for s in snr_db_grid]
     if not grid:
@@ -281,7 +282,7 @@ def sweep(
                     notes=notes,
                 )
             )
-        except Exception as exc:  # flagged entry, never abort the sweep
+        except ValueError as exc:  # flagged entry, never abort the sweep
             points.append(
                 PerfPoint(
                     snr_db=snr_db,

@@ -38,16 +38,11 @@ class TurbulenceParams:
 
     sigma_x: float
 
-    # Intensity without turbulence; fixed by the E{I} = 1 normalization.
-    i_o: float = 1.0
-
     def __post_init__(self) -> None:
         if not (0.0 < self.sigma_x <= 1.0):
             raise ValueError(
                 f"sigma_x must lie in (0, 1] (lognormal validity regime), got {self.sigma_x!r}"
             )
-        if self.i_o != 1.0:
-            raise ValueError("i_o is fixed to 1 by the power normalization")
 
     @property
     def m_x(self) -> float:

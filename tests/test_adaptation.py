@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from fso_adapt import adaptation
 from fso_adapt.adaptation import (
     AdaptiveScheme,
     average_ber_adaptive,
@@ -285,6 +286,14 @@ class TestSweep:
         assert math.isnan(points[0].avg_ber)
         assert any("outage_only" in n for n in points[0].notes)
         assert math.isfinite(points[1].avg_ber)
+
+    def test_broken_invariant_raises(self, monkeypatch):
+        def broken(scheme, params):
+            raise AssertionError("telescoping identity violated")
+
+        monkeypatch.setattr(adaptation, "spectral_efficiency", broken)
+        with pytest.raises(AssertionError, match="telescoping"):
+            sweep(5, 1e-3, TurbulenceParams(sigma_x=0.3), [15.0])
 
     def test_grid_validation(self):
         params = TurbulenceParams(sigma_x=0.3)

@@ -3,6 +3,7 @@ determinism, config precedence and exit codes."""
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -114,6 +115,13 @@ class TestSpectral:
         run_cli(args + ["--out", str(a)])
         run_cli(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("command", ["spectral", "capacity"])
+    def test_low_snr_grid_emits_no_warning(self, command, tmp_path):
+        # The grid starts below the capacity bound's 10 dB trust level.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli([command, "--snr", "0:30:0.5", "--out", str(tmp_path / "out.csv")]) == 0
 
 
 class TestBer:

@@ -235,10 +235,15 @@ class TestIntegrateTruncatedNormal:
         )
         assert got == pytest.approx(want, abs=1e-12)
 
-    def test_scalar_callable_fallback(self):
-        got = integrate_truncated_normal(lambda i: float(i) ** 2, 0.0, math.inf, self.MEAN, self.STD)
-        # E[I^2] for a unit-mean lognormal with log-variance 0.36.
-        assert got == pytest.approx(math.exp(0.36), rel=1e-10)
+    def test_scalar_callable_raises(self):
+        # f is evaluated on arrays; a scalar-only callable is not mapped
+        # element by element, so its own error reaches the caller.
+        with pytest.raises(TypeError):
+            integrate_truncated_normal(lambda i: float(i) ** 2, 0.0, math.inf, self.MEAN, self.STD)
+
+    def test_wrong_shaped_result_raises(self):
+        with pytest.raises(ValueError, match="shape"):
+            integrate_truncated_normal(lambda i: 1.0, 0.0, math.inf, self.MEAN, self.STD)
 
     def test_empty_region_raises(self):
         with pytest.raises(ValueError):

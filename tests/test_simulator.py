@@ -89,6 +89,36 @@ class TestKernels:
         assert a == b
 
     @needs_compiled
+    def test_compiled_kernel_rejects_bad_inputs(self):
+        nb, k = 40, 25
+        amp, m, u, noise = self._draws(5, nb, k)
+        good = dict(amp=amp, m=m, u=u, noise=noise, k=k)
+        bad_inputs = {
+            "int32 m_per_block": dict(m=m.astype(np.int32)),
+            "float m_per_block": dict(m=m.astype(np.float64)),
+            "float32 amp": dict(amp=amp.astype(np.float32)),
+            "short u": dict(u=u[:-1]),
+            "long u": dict(u=np.append(u, 0.5)),
+            "short noise": dict(noise=noise[:-1]),
+            "short m_per_block": dict(m=m[:-1]),
+            "k larger than the draws": dict(k=k + 1),
+            "2-D u": dict(u=u.reshape(nb, k)),
+            "strided noise": dict(noise=np.repeat(noise, 2)[::2]),
+            "unsupported order": dict(m=np.full(nb, 3, dtype=np.int64)),
+            "order beyond the tables": dict(m=np.full(nb, 512, dtype=np.int64)),
+            "uniform outside [0, 1)": dict(u=u + 1.0),
+        }
+        for label, change in bad_inputs.items():
+            a = {**good, **change}
+            try:
+                _compiled.count_bit_errors(
+                    a["amp"], a["m"], a["u"], a["noise"], a["k"], TAB_RE, TAB_IM, TAB_OFFSET, POPCOUNT
+                )
+            except ValueError:
+                continue
+            pytest.fail(f"accepted {label}")
+
+    @needs_compiled
     def test_backend_selected_at_import(self):
         assert simulator.KERNEL_BACKEND == "compiled"
 

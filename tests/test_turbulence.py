@@ -37,7 +37,8 @@ class TestParams:
         TurbulenceParams(sigma_x=1.0)
 
     def test_io_fixed(self):
-        with pytest.raises(ValueError):
+        # E{I} = 1 fixes the unfaded intensity, so it is not a parameter.
+        with pytest.raises(TypeError):
             TurbulenceParams(sigma_x=0.3, i_o=2.0)
 
     def test_mimo_aperture_counts(self):
