@@ -20,6 +20,9 @@ except ImportError:
     _compiled = None
 
 needs_compiled = pytest.mark.skipif(_compiled is None, reason="compiled kernel not built")
+KERNELS = {"numpy": _psk_kernel_py.count_bit_errors}
+if _compiled is not None:
+    KERNELS["compiled"] = _compiled.count_bit_errors
 
 
 def no_fading() -> TurbulenceParams:
@@ -59,6 +62,21 @@ class TestKernels:
         received = np.where(sent == 0, 1.2, -1.2) + math.sqrt(0.5) * noise[0::2]
         decided = (received < 0).astype(np.int64)
         assert errors == int(np.count_nonzero(sent != decided))
+
+    @pytest.mark.parametrize("backend", list(KERNELS))
+    def test_ties_resolve_to_lowest_index(self, backend):
+        # Zero amplitude and zero noise put every received sample at the
+        # origin, where all constellation points score 0, so each symbol
+        # must decode as index 0.
+        nb, k = 9, 64
+        m = np.array([2, 4, 8, 16, 32, 64, 128, 256, 4], dtype=np.int64)
+        u = np.random.default_rng(4).random(nb * k)
+        sent = (u * np.repeat(m, k)).astype(np.int64)
+        expected = int(POPCOUNT[sent ^ (sent >> 1)].sum())
+        errors = KERNELS[backend](
+            np.zeros(nb), m, u, np.zeros(2 * nb * k), k, TAB_RE, TAB_IM, TAB_OFFSET, POPCOUNT
+        )
+        assert errors == expected
 
     @needs_compiled
     def test_backends_bit_identical(self):
