@@ -194,13 +194,11 @@ def spectral_efficiency(scheme: AdaptiveScheme, params: FadingLaw) -> float:
     consecutive order set this is the plain sum of the Q(x_j) over 2);
     cross-checked internally against sum_j a_j k_j / 2.
     """
-    tails = q_function_array(_standardized_edges(scheme, params))[:-1]
+    tails = q_function_array(_standardized_edges(scheme, params))
     bits = np.asarray(scheme.bits_per_order, dtype=float)
     increments = np.diff(bits, prepend=0.0)
-    s_telescoped = 0.5 * float(np.dot(increments, tails))
-
-    _, probs = region_probabilities(scheme, params)
-    s_direct = 0.5 * float(np.dot(probs, bits))
+    s_telescoped = 0.5 * float(np.dot(increments, tails[:-1]))
+    s_direct = 0.5 * float(np.dot(tails[:-1] - tails[1:], bits))
     if abs(s_telescoped - s_direct) > 1e-12:
         raise AssertionError(
             f"telescoping identity violated: {s_telescoped!r} vs {s_direct!r}"

@@ -71,9 +71,13 @@ class SweepSpec:
         return [self.snr_start + i * self.snr_step for i in range(count)]
 
     def channel(self):
-        if self.mimo is None:
-            return TurbulenceParams(sigma_x=self.sigma_x)
-        return MimoConfig(f_tx=self.mimo[0], l_rx=self.mimo[1], sigma_x=self.sigma_x)
+        return _channel(self.sigma_x, self.mimo)
+
+
+def _channel(sigma_x: float, mimo: tuple[int, int] | None):
+    if mimo is None:
+        return TurbulenceParams(sigma_x=sigma_x)
+    return MimoConfig(f_tx=mimo[0], l_rx=mimo[1], sigma_x=sigma_x)
 
 
 def _parse_snr_range(text: str) -> tuple[float, float, float]:
@@ -214,14 +218,17 @@ def _spec_meta(spec: SweepSpec) -> dict:
 def _bpsk_threshold_snr_db(spec: SweepSpec, channel) -> float:
     # Average SNR at which fixed BPSK's fading-averaged BER meets the
     # target; bisection over dB (BER is monotone decreasing in SNR).
+    # Stops once the midpoint no longer lies strictly inside the bracket,
+    # after which further steps would leave it unchanged.
     lo, hi = -30.0, 90.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
         if ber_average(2, channel, LinkBudget.from_db(mid)) > spec.po:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def _capacity(bound, channel, budget: LinkBudget) -> float:
@@ -305,10 +312,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     block = int(args.block_size)
     blocks = max(1, math.ceil(symbols / block))
     budget = LinkBudget.from_db(args.snr_db)
-    if args.mimo:
-        channel = MimoConfig(f_tx=_parse_mimo(args.mimo)[0], l_rx=_parse_mimo(args.mimo)[1], sigma_x=args.sigma_x)
-    else:
-        channel = TurbulenceParams(sigma_x=args.sigma_x)
+    channel = _channel(args.sigma_x, _parse_mimo(args.mimo) if args.mimo else None)
     if args.mode == "adaptive":
         mode = compute_boundaries(args.n, args.po, budget)
     else:
@@ -512,10 +516,7 @@ def main(argv=None) -> int:
         if args.command == "validate":
             return cmd_validate(args)
         raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

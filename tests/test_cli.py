@@ -9,7 +9,8 @@ import pytest
 
 from fso_adapt.adaptation import compute_boundaries
 from fso_adapt.cli import main
-from fso_adapt.link import LinkBudget
+from fso_adapt.link import LinkBudget, ber_average
+from fso_adapt.turbulence import TurbulenceParams
 
 def run_cli(args):
     return main(args)
@@ -115,6 +116,21 @@ class TestSpectral:
         run_cli(args + ["--out", str(a)])
         run_cli(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_bpsk_threshold_equals_full_bisection(self, tmp_path):
+        out = tmp_path / "fig3.json"
+        run_cli(["spectral", "--sigma-x", "0.5", "--po", "1e-3", "--n", "5",
+                 "--snr", "25:30:5", "--format", "json", "--out", str(out)])
+        got = json.loads(out.read_text())["meta"]["bpsk_ber_meets_target_at_db"]
+        channel = TurbulenceParams(sigma_x=0.5)
+        lo, hi = -30.0, 90.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if ber_average(2, channel, LinkBudget.from_db(mid)) > 1e-3:
+                lo = mid
+            else:
+                hi = mid
+        assert got == 0.5 * (lo + hi)
 
     @pytest.mark.parametrize("command", ["spectral", "capacity"])
     def test_low_snr_grid_emits_no_warning(self, command, tmp_path):

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fso_adapt.numerics import (
@@ -93,6 +95,27 @@ class TestInverseQ:
         ps = np.linspace(1e-6, 1 - 1e-6, 300)
         xs = [inverse_q(p) for p in ps]
         assert all(a > b for a, b in zip(xs, xs[1:]))
+
+    @pytest.mark.parametrize("p", [1e-300, 1e-200, 1e-100, 1e-50, 1e-20])
+    def test_deep_tail(self, p):
+        x = inverse_q(p)
+        assert x == pytest.approx(bisect_inverse_q(p), abs=1e-12)
+        assert abs(q_function(x) - p) / p < 1e-12
+
+    def test_median_is_positive_zero(self):
+        # A -0.0 here would print as "-0" in the thresholds CSV at p_o = 0.5.
+        assert math.copysign(1.0, inverse_q(0.5)) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=-300.0, max_value=math.log10(0.5)))
+    def test_round_trip_log_uniform(self, exponent):
+        p = 10.0 ** exponent
+        x = inverse_q(p)
+        # Q(x) moves by about x^2 times a relative error in x, so a few ulp
+        # in x cost about 1e-12 in the round trip near x = 37 (p = 1e-300),
+        # even for a correctly rounded x.  Hence 1e-12 up to x = 30
+        # (p ~ 5e-198), growing with that condition number beyond.
+        assert abs(q_function(x) - p) / p < 1e-12 * max(1.0, (x / 30.0) ** 2)
 
     @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5, math.nan])
     def test_domain(self, bad):
