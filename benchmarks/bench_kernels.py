@@ -68,15 +68,18 @@ def bench_raw(symbols, repeat):
 def bench_end_to_end(symbols, repeat):
     budget = LinkBudget.from_db(15.0)
     params = TurbulenceParams(sigma_x=0.3)
+    # k=250 is the block-fading regime; k=1 (a fresh fading draw per
+    # symbol) is the regime of `validate` and acceptance criteria 5-6.
     cases = {
-        "run fixed bpsk": SimConfig(
-            blocks=symbols // 250, symbols_per_block=250, seed=3,
-            mode=ModOrder(2), channel=params, budget=budget,
-        ),
-        "run adaptive n=5": SimConfig(
-            blocks=symbols // 250, symbols_per_block=250, seed=3,
-            mode=compute_boundaries(5, 1e-3, budget), channel=params, budget=budget,
-        ),
+        f"run {label} k={k}": SimConfig(
+            blocks=symbols // k, symbols_per_block=k, seed=3,
+            mode=mode, channel=params, budget=budget,
+        )
+        for k in (250, 1)
+        for label, mode in (
+            ("fixed bpsk", ModOrder(2)),
+            ("adaptive n=5", compute_boundaries(5, 1e-3, budget)),
+        )
     }
     rows = []
     original = simulator.active_kernel

@@ -3,7 +3,13 @@
  * inputs: constellation points come from the shared tables, the received
  * sample is plain multiply/add (the build disables FP contraction), and
  * nearest-phase decisions are strict-greater argmax scans resolving ties to
- * the lowest index.  The loop runs without the GIL, so threads scale. */
+ * the lowest index.  The loop runs without the GIL, so threads scale.
+ *
+ * Read rule: `u` and `noise` are consumed from the front, in slot order.  An
+ * outage block (m < 2) reads nothing; a BPSK slot reads the next uniform and
+ * the next normal (in-phase only); an M >= 4 slot reads the next uniform and
+ * the next two normals, in-phase first.  Entries after the last one read are
+ * never touched, and the full lengths (nb*k and 2*nb*k) bound both cursors. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -22,6 +28,7 @@ static const char *tally(Py_buffer *v, Py_ssize_t k, long long *errors)
     const long long *popcount = v[POPCOUNT].buf;
     const double sqrt_half = sqrt(0.5);
     long long total = 0;
+    Py_ssize_t draw = 0, normal = 0; /* cursors into u and noise */
     for (Py_ssize_t block = 0; block < v[AMP].shape[0]; block++) {
         const long long m = m_per_block[block];
         if (m < 2)
@@ -31,16 +38,17 @@ static const char *tally(Py_buffer *v, Py_ssize_t k, long long *errors)
             return "constellation size not in the tables";
         const double a = amp[block];
         const double *pre = tab_re + base, *pim = tab_im + base;
-        for (Py_ssize_t slot = block * k; slot < (block + 1) * k; slot++) {
-            if (!(u[slot] >= 0.0 && u[slot] < 1.0))
+        for (Py_ssize_t slot = 0; slot < k; slot++) {
+            const double uniform = u[draw++];
+            if (!(uniform >= 0.0 && uniform < 1.0))
                 return "uniforms must lie in [0, 1)";
-            const long long sent = (long long)(u[slot] * m);
-            const double re = a * pre[sent] + sqrt_half * noise[2 * slot];
-            const double im = a * pim[sent] + sqrt_half * noise[2 * slot + 1];
+            const long long sent = (long long)(uniform * m);
+            const double re = a * pre[sent] + sqrt_half * noise[normal++];
             long long decided = 0;
             if (m == 2) {
                 decided = re < 0.0;
             } else {
+                const double im = a * pim[sent] + sqrt_half * noise[normal++];
                 double best = re * pre[0] + im * pim[0];
                 for (long long cand = 1; cand < m; cand++) {
                     const double score = re * pre[cand] + im * pim[cand];

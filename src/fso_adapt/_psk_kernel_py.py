@@ -6,7 +6,8 @@ bit-identical: the received sample is formed from the shared
 constellation tables with plain multiply/add (no fused contraction on
 the compiled side), and the nearest-phase decision is an argmax of dot
 products against the same tables, ties resolving to the lowest index in
-both.
+both.  Both read the random inputs by the same rule (see
+``count_bit_errors``).
 """
 
 from __future__ import annotations
@@ -39,31 +40,45 @@ def count_bit_errors(
 
     amp:      per-block signal amplitude sqrt(snr) * I, shape (nb,)
     m_per_block: per-block constellation size, 0/1 meaning "no
-              transmission" (the block's randomness is skipped)
-    u:        uniforms in [0,1), one per symbol slot, shape (nb * k,)
-    noise:    standard normals, interleaved re/im, shape (2 * nb * k,)
+              transmission"
+    u:        uniforms in [0,1), shape (nb * k,)
+    noise:    standard normals, shape (2 * nb * k,)
+
+    Read rule: ``u`` and ``noise`` are consumed from the front, in slot
+    order.  An outage block (m < 2) reads nothing; a BPSK slot reads the
+    next uniform and the next normal (in-phase only); an M >= 4 slot reads
+    the next uniform and the next two normals, in-phase first.  Entries
+    after the last one read are never touched.
     """
     k = symbols_per_block
     orders = [int(m) for m in np.unique(m_per_block) if m >= 2]
+    # Per-block start offsets into u and noise: exclusive cumulative sums
+    # of what each block reads.
+    sending = (m_per_block >= 2).astype(np.int64)
+    normals_per_slot = sending + (m_per_block >= 4)
+    u_start = np.cumsum(sending * k) - sending * k
+    noise_start = np.cumsum(normals_per_slot * k) - normals_per_slot * k
     n_slots = amp.size * k
     errors = 0
     for start in range(0, n_slots, _SLAB):
-        stop = min(start + _SLAB, n_slots)
-        block = np.arange(start, stop) // k
+        slot = np.arange(start, min(start + _SLAB, n_slots))
+        block = slot // k
+        within = slot - block * k
         m_sym = m_per_block[block]
         for m in orders:
             sel = np.flatnonzero(m_sym == m)
             if sel.size == 0:
                 continue
-            slot = start + sel
-            a = amp[block[sel]]
+            b = block[sel]
+            a = amp[b]
             base = int(tab_offset[m])
-            idx = (u[slot] * m).astype(np.int64)  # exact: m is a power of two
-            re = a * tab_re[base + idx] + _SQRT_HALF * noise[2 * slot]
-            im = a * tab_im[base + idx] + _SQRT_HALF * noise[2 * slot + 1]
+            idx = (u[u_start[b] + within[sel]] * m).astype(np.int64)  # exact: m is a power of two
+            in_phase = noise_start[b] + (1 if m == 2 else 2) * within[sel]
+            re = a * tab_re[base + idx] + _SQRT_HALF * noise[in_phase]
             if m == 2:
                 decided = (re < 0.0).astype(np.int64)
             else:
+                im = a * tab_im[base + idx] + _SQRT_HALF * noise[in_phase + 1]
                 points_re = tab_re[base : base + m]
                 points_im = tab_im[base : base + m]
                 decided = np.empty(sel.size, dtype=np.int64)

@@ -145,7 +145,7 @@ def _build_spec(command: str, args: argparse.Namespace) -> SweepSpec:
     if fmt not in ("csv", "json"):
         raise UsageError(f"--format must be csv or json, got {fmt!r}")
     try:
-        return SweepSpec(
+        spec = SweepSpec(
             command=command,
             snr_start=start,
             snr_stop=stop,
@@ -160,6 +160,10 @@ def _build_spec(command: str, args: argparse.Namespace) -> SweepSpec:
         )
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad parameter value: {exc}")
+    # capacity does not use the target BER.
+    if command != "capacity" and not (0.0 < spec.po <= 0.5):
+        raise UsageError(f"target_ber must lie in (0, 0.5], got {spec.po!r}")
+    return spec
 
 
 def _format_value(value) -> str:

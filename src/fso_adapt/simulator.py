@@ -16,10 +16,13 @@ the aggregate-fading approximation.
 
 Determinism: work splits into fixed chunks of consecutive blocks; each
 chunk owns the generator ``default_rng([seed, chunk_index])`` and draws
-in a fixed layout (fading, then per-slab symbol uniforms and noise
-normals).  Results therefore depend only on (config, seed), never on
-worker count or scheduling, and chunk tallies merge by exact integer
-addition.
+in a fixed layout: fading, then per-slab symbol uniforms, then noise
+normals.  Only what the kernel reads is drawn: nothing for outage
+blocks, one uniform and one in-phase normal per BPSK symbol, and one
+uniform and two normals (in-phase, quadrature) per M >= 4 symbol, packed
+from the front of full-length zero arrays in slot order.  Results
+therefore depend only on (config, seed), never on worker count or
+scheduling, and chunk tallies merge by exact integer addition.
 
 The demodulation inner loop is the hot path; a compiled kernel is
 preferred at import time with a bit-identical numpy fallback (see
@@ -140,26 +143,30 @@ def _run_chunk(config: SimConfig, chunk_index: int, block_lo: int, block_hi: int
         outage_blocks = 0
 
     bits_sent = int(bits_per_block.sum()) * k
+    sending = int(np.count_nonzero(m_blocks >= 2))
+    quad = int(np.count_nonzero(m_blocks >= 4))
 
     kernel = active_kernel
-    errors = 0
+
+    def count(slots: int) -> int:
+        # Full-length arrays keep the kernel's length contract; only the
+        # prefix it reads is drawn, and the zero tail is never written.
+        u = np.zeros(nb * slots)
+        noise = np.zeros(2 * nb * slots)
+        rng.random(out=u[: slots * sending])
+        rng.standard_normal(out=noise[: slots * (sending + quad)])
+        return int(kernel(amp, m_blocks, u, noise, slots, TAB_RE, TAB_IM, TAB_OFFSET, POPCOUNT))
+
     if k <= CHUNK_SYMBOLS:
-        u = rng.random(nb * k)
-        noise = rng.standard_normal(2 * nb * k)
-        errors = int(kernel(amp, m_blocks, u, noise, k, TAB_RE, TAB_IM, TAB_OFFSET, POPCOUNT))
+        errors = count(k)
     else:
         # Oversized block: chunking guarantees nb == 1 here; slab the
-        # symbol stream with the same draw order.
+        # symbol stream with the same draw order.  An outage block draws
+        # nothing (sending == 0 leaves the range empty).
         assert nb == 1
-        done = 0
-        while done < k:
-            slab = min(CHUNK_SYMBOLS, k - done)
-            u = rng.random(slab)
-            noise = rng.standard_normal(2 * slab)
-            errors += int(
-                kernel(amp, m_blocks, u, noise, slab, TAB_RE, TAB_IM, TAB_OFFSET, POPCOUNT)
-            )
-            done += slab
+        errors = sum(
+            count(min(CHUNK_SYMBOLS, k - done)) for done in range(0, k * sending, CHUNK_SYMBOLS)
+        )
     return errors, bits_sent, histogram, outage_blocks
 
 

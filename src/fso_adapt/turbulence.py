@@ -155,8 +155,12 @@ def draw_fading(params: FadingLaw, rng: np.random.Generator, count: int) -> np.n
     sigma = params.sigma_x
     m_x = -(sigma * sigma)
     paths = params.n_paths
+    # exp(2 (m_x + sigma z)) in place, in the same operation order.
     z = rng.standard_normal((count, paths))
-    intensity = np.exp(2.0 * (m_x + sigma * z))
+    z *= sigma
+    z += m_x
+    z *= 2.0
+    intensity = np.exp(z, out=z)
     if paths == 1:
         return intensity[:, 0]
     return intensity.mean(axis=1)

@@ -265,6 +265,20 @@ class TestUsageErrors:
         assert run_cli(args) == 2
 
 
+class TestTargetBer:
+    @pytest.mark.parametrize("po", ["2", "-1", "0", "nan"])
+    @pytest.mark.parametrize("command", ["spectral", "ber", "thresholds"])
+    def test_out_of_range_po_is_usage_error(self, command, po, capsys):
+        assert run_cli([command, f"--po={po}", "--snr", "10:10:1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: target_ber must lie in (0, 0.5], got {float(po)!r}\n"
+
+    def test_capacity_ignores_po(self, capsys):
+        assert run_cli(["capacity", "--po=2", "--snr", "10:10:1"]) == 0
+        assert capsys.readouterr().out.startswith("snr_db,")
+
+
 class TestSimulateCommand:
     def test_fixed_mode_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "sim.json"

@@ -59,9 +59,73 @@ class TestKernels:
             amp, m, u, noise, k, TAB_RE, TAB_IM, TAB_OFFSET, POPCOUNT
         )
         sent = (u * 2).astype(np.int64)
-        received = np.where(sent == 0, 1.2, -1.2) + math.sqrt(0.5) * noise[0::2]
+        received = np.where(sent == 0, 1.2, -1.2) + math.sqrt(0.5) * noise[: nb * k]
         decided = (received < 0).astype(np.int64)
         assert errors == int(np.count_nonzero(sent != decided))
+
+    @staticmethod
+    def _read_rule_reference(amp, m, u, noise, k):
+        # Scalar statement of the read rule: u and noise are consumed from
+        # the front in slot order; outage blocks read nothing, BPSK slots
+        # one uniform and one normal, M >= 4 slots one uniform and two
+        # normals (in-phase first).  Returns the error count and how many
+        # uniforms and normals were read.
+        errors = uniforms = normals = 0
+        for a, order in zip(amp, m):
+            order = int(order)
+            if order < 2:
+                continue
+            base = int(TAB_OFFSET[order])
+            for _ in range(k):
+                sent = int(u[uniforms] * order)
+                uniforms += 1
+                re = a * TAB_RE[base + sent] + math.sqrt(0.5) * noise[normals]
+                normals += 1
+                decided = 0
+                if order == 2:
+                    decided = int(re < 0.0)
+                else:
+                    im = a * TAB_IM[base + sent] + math.sqrt(0.5) * noise[normals]
+                    normals += 1
+                    best = re * TAB_RE[base] + im * TAB_IM[base]
+                    for cand in range(1, order):
+                        score = re * TAB_RE[base + cand] + im * TAB_IM[base + cand]
+                        if score > best:
+                            best, decided = score, cand
+                errors += int(POPCOUNT[(sent ^ (sent >> 1)) ^ (decided ^ (decided >> 1))])
+        return errors, uniforms, normals
+
+    @staticmethod
+    def _mixed_draws(k: int):
+        # Outage (0, 1), BPSK and M >= 4 blocks, interleaved.
+        rng = np.random.default_rng(77)
+        nb = 60
+        amp = rng.uniform(0.5, 3.0, nb)
+        m = rng.choice(np.array([0, 1, 2, 4, 8, 16, 32], dtype=np.int64), nb)
+        m[:7] = [0, 2, 4, 1, 2, 32, 0]
+        return amp, m, rng.random(nb * k), rng.standard_normal(2 * nb * k)
+
+    @pytest.mark.parametrize("k", [1, 7])
+    @pytest.mark.parametrize("backend", list(KERNELS))
+    def test_read_rule_matches_scalar_reference(self, backend, k):
+        amp, m, u, noise = self._mixed_draws(k)
+        expected, uniforms, normals = self._read_rule_reference(amp, m, u, noise, k)
+        sending = int(np.count_nonzero(m >= 2))
+        assert uniforms == k * sending
+        assert normals == k * (sending + int(np.count_nonzero(m >= 4)))
+        assert expected > 0
+        got = KERNELS[backend](amp, m, u, noise, k, TAB_RE, TAB_IM, TAB_OFFSET, POPCOUNT)
+        assert got == expected
+
+    @pytest.mark.parametrize("k", [1, 7])
+    @pytest.mark.parametrize("backend", list(KERNELS))
+    def test_entries_after_the_read_prefix_are_ignored(self, backend, k):
+        amp, m, u, noise = self._mixed_draws(k)
+        expected, uniforms, normals = self._read_rule_reference(amp, m, u, noise, k)
+        u[uniforms:] = 2.0
+        noise[normals:] = np.nan
+        got = KERNELS[backend](amp, m, u, noise, k, TAB_RE, TAB_IM, TAB_OFFSET, POPCOUNT)
+        assert got == expected
 
     @pytest.mark.parametrize("backend", list(KERNELS))
     def test_ties_resolve_to_lowest_index(self, backend):
@@ -161,6 +225,81 @@ class TestKernels:
         assert with_compiled.bit_errors == with_numpy.bit_errors
         assert with_compiled.bits_sent == with_numpy.bits_sent
         assert with_compiled.per_region_histogram == with_numpy.per_region_histogram
+
+
+class TestRunDraws:
+    @staticmethod
+    def _recorded_run(config: SimConfig):
+        # Run with a wrapper around the active kernel that records, per
+        # call, the read prefix that m_per_block defines (uniforms and
+        # normals) and the nonzero entries inside and after it.
+        calls = []
+        original = simulator.active_kernel
+
+        def spy(amp, m, u, noise, k, *tables):
+            sending = int(np.count_nonzero(m >= 2))
+            quad = int(np.count_nonzero(m >= 4))
+            uniforms, normals = k * sending, k * (sending + quad)
+            calls.append(
+                {
+                    "blocks": m.size,
+                    "sending": sending,
+                    "quad": quad,
+                    "lengths_ok": u.size == m.size * k and noise.size == 2 * u.size,
+                    "uniforms": uniforms,
+                    "normals": normals,
+                    "nonzero_u": (np.count_nonzero(u[:uniforms]), np.count_nonzero(u[uniforms:])),
+                    "nonzero_noise": (
+                        np.count_nonzero(noise[:normals]),
+                        np.count_nonzero(noise[normals:]),
+                    ),
+                }
+            )
+            return original(amp, m, u, noise, k, *tables)
+
+        simulator.active_kernel = spy
+        try:
+            report = run(config)
+        finally:
+            simulator.active_kernel = original
+        return report, calls
+
+    @pytest.mark.parametrize("k", [1, 40])
+    def test_only_the_read_prefix_is_drawn(self, k):
+        # At 6 dB and sigma_x = 0.5 a five-order scheme has outage, BPSK
+        # and higher-order blocks in every chunk.
+        budget = LinkBudget.from_db(6.0)
+        config = SimConfig(
+            blocks=2 * (simulator.CHUNK_SYMBOLS // k),
+            symbols_per_block=k,
+            seed=13,
+            mode=compute_boundaries(5, 1e-3, budget),
+            channel=TurbulenceParams(sigma_x=0.5),
+            budget=budget,
+        )
+        _, calls = self._recorded_run(config)
+        assert len(calls) == 2
+        for call in calls:
+            assert 0 < call["quad"] < call["sending"] < call["blocks"]
+            assert call["lengths_ok"]
+            assert call["nonzero_u"] == (call["uniforms"], 0)
+            assert call["nonzero_noise"] == (call["normals"], 0)
+
+    def test_oversized_outage_block_draws_nothing(self):
+        # At -20 dB the single block is in outage for every fading draw
+        # the sampler can produce at sigma_x = 0.1.
+        budget = LinkBudget.from_db(-20.0)
+        config = SimConfig(
+            blocks=1,
+            symbols_per_block=(1 << 20) + 4321,
+            seed=3,
+            mode=compute_boundaries(3, 1e-3, budget),
+            channel=TurbulenceParams(sigma_x=0.1),
+            budget=budget,
+        )
+        report, calls = self._recorded_run(config)
+        assert calls == []
+        assert report.bits_sent == 0 and report.outage_fraction == 1.0
 
 
 class TestSimConfig:

@@ -168,6 +168,17 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_fading(TurbulenceParams(sigma_x=0.3), 1, 0)
 
+    @pytest.mark.parametrize(
+        "params", [TurbulenceParams(sigma_x=0.3), MimoConfig(f_tx=2, l_rx=2, sigma_x=0.3)]
+    )
+    def test_draw_fading_equals_direct_expression(self, params):
+        # The in-place evaluation keeps the operation order of the
+        # textbook expression exp(2 (m_x + sigma z)), so it is bit-identical.
+        got = draw_fading(params, np.random.default_rng(9), 1000)
+        z = np.random.default_rng(9).standard_normal((1000, params.n_paths))
+        want = np.exp(2.0 * (-(0.3 * 0.3) + 0.3 * z)).mean(axis=1)
+        assert np.array_equal(got, want)
+
     def test_draw_fading_consumes_shared_stream(self):
         rng = np.random.default_rng(5)
         first = draw_fading(TurbulenceParams(sigma_x=0.3), rng, 10)
