@@ -28,7 +28,7 @@ import numpy as np
 
 from .link import LinkBudget, ModOrder, ber_conditional, db_to_linear
 from .numerics import integrate_truncated_normal, inverse_q, q_function_array
-from .turbulence import FadingLaw, standardized_boundary
+from .turbulence import TurbulenceParams
 
 # Largest supported number of orders: 2^8 = 256-PSK is already far past
 # any regime where the nearest-neighbour BER approximation is sane.
@@ -51,7 +51,6 @@ class AdaptiveScheme:
     surface, independent of the region cleanup.
     """
 
-    n_orders: int
     target_ber: float
     budget: LinkBudget
     orders: tuple[ModOrder, ...]
@@ -142,7 +141,6 @@ def compute_boundaries(n_orders: int, target_ber: float, budget: LinkBudget) -> 
 
     boundaries = np.array([b for _, b in kept] + [math.inf])
     return AdaptiveScheme(
-        n_orders=n_orders,
         target_ber=target_ber,
         budget=budget,
         orders=tuple(ModOrder(m) for m, _ in kept),
@@ -166,27 +164,21 @@ def select_order(scheme: AdaptiveScheme, i: float) -> ModOrder | None:
     return scheme.orders[idx]
 
 
-def _standardized_edges(scheme: AdaptiveScheme, params: FadingLaw) -> np.ndarray:
-    edges = [standardized_boundary(params, b) for b in scheme.boundaries[:-1]]
-    edges.append(math.inf)
-    return np.asarray(edges)
-
-
 def region_probabilities(
-    scheme: AdaptiveScheme, params: FadingLaw
+    scheme: AdaptiveScheme, params: TurbulenceParams
 ) -> tuple[float, np.ndarray]:
     """(outage probability, per-region probabilities a_j).
 
     a_j = Q(x_j) - Q(x_{j+1}) with x_j the standardized log boundary;
     outage + sum(a_j) telescopes to 1 by construction.
     """
-    tails = q_function_array(_standardized_edges(scheme, params))
+    tails = q_function_array(params.standardize(scheme.boundaries))
     probs = tails[:-1] - tails[1:]
     outage = 1.0 - tails[0]
     return float(outage), probs
 
 
-def spectral_efficiency(scheme: AdaptiveScheme, params: FadingLaw) -> float:
+def spectral_efficiency(scheme: AdaptiveScheme, params: TurbulenceParams) -> float:
     """Achievable spectral efficiency in bit/s/Hz.
 
     Computed in telescoped form, S = sum_j (k_j - k_{j-1}) Q(x_j) / 2
@@ -194,7 +186,7 @@ def spectral_efficiency(scheme: AdaptiveScheme, params: FadingLaw) -> float:
     consecutive order set this is the plain sum of the Q(x_j) over 2);
     cross-checked internally against sum_j a_j k_j / 2.
     """
-    tails = q_function_array(_standardized_edges(scheme, params))
+    tails = q_function_array(params.standardize(scheme.boundaries))
     bits = np.asarray(scheme.bits_per_order, dtype=float)
     increments = np.diff(bits, prepend=0.0)
     s_telescoped = 0.5 * float(np.dot(increments, tails[:-1]))
@@ -206,7 +198,7 @@ def spectral_efficiency(scheme: AdaptiveScheme, params: FadingLaw) -> float:
     return s_telescoped
 
 
-def average_ber_adaptive(scheme: AdaptiveScheme, params: FadingLaw) -> float | None:
+def average_ber_adaptive(scheme: AdaptiveScheme, params: TurbulenceParams) -> float | None:
     """Average BER of the adaptive scheme: mean erroneous bits over mean
     transmitted bits, with per-region fading averages of the conditional
     BER.  Returns None when the transmission probability is negligible
@@ -241,7 +233,7 @@ def average_ber_adaptive(scheme: AdaptiveScheme, params: FadingLaw) -> float | N
 def sweep(
     n_orders: int,
     target_ber: float,
-    params: FadingLaw,
+    params: TurbulenceParams,
     snr_db_grid,
 ) -> list[PerfPoint]:
     """Evaluate the adaptive scheme across an ascending SNR grid (dB).

@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -70,14 +70,8 @@ class SweepSpec:
         count = int(math.floor((self.snr_stop - self.snr_start) / self.snr_step + 1e-9)) + 1
         return [self.snr_start + i * self.snr_step for i in range(count)]
 
-    def channel(self):
-        return _channel(self.sigma_x, self.mimo)
-
-
-def _channel(sigma_x: float, mimo: tuple[int, int] | None):
-    if mimo is None:
-        return TurbulenceParams(sigma_x=sigma_x)
-    return MimoConfig(f_tx=mimo[0], l_rx=mimo[1], sigma_x=sigma_x)
+    def channel(self) -> TurbulenceParams:
+        return TurbulenceParams(self.sigma_x, *(self.mimo or ()))
 
 
 def _parse_snr_range(text: str) -> tuple[float, float, float]:
@@ -316,7 +310,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     block = int(args.block_size)
     blocks = max(1, math.ceil(symbols / block))
     budget = LinkBudget.from_db(args.snr_db)
-    channel = _channel(args.sigma_x, _parse_mimo(args.mimo) if args.mimo else None)
+    channel = TurbulenceParams(args.sigma_x, *(_parse_mimo(args.mimo) if args.mimo else ()))
     if args.mode == "adaptive":
         mode = compute_boundaries(args.n, args.po, budget)
     else:
@@ -330,21 +324,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         budget=budget,
     )
     report = run(config, workers=args.workers)
-    payload = {
-        "snr_db": args.snr_db,
-        "mode": args.mode,
-        "bits_sent": report.bits_sent,
-        "bit_errors": report.bit_errors,
-        "ber_point": report.ber_point,
-        "ber_ci95": report.ber_ci95,
-        "throughput_bits_per_symbol": report.throughput_bits_per_symbol,
-        "outage_fraction": report.outage_fraction,
-        "per_region_histogram": list(report.per_region_histogram),
-        "blocks": report.blocks,
-        "symbols_per_block": report.symbols_per_block,
-        "seed": report.seed,
-        "kernel": report.kernel,
-    }
+    payload = {"snr_db": args.snr_db, "mode": args.mode, **asdict(report)}
+    payload["per_region_histogram"] = list(report.per_region_histogram)
     for key, value in payload.items():
         print(f"{key} = {_format_value(value)}")
     path = _output_path(args.out)

@@ -30,7 +30,7 @@ from .numerics import (
     integrate_truncated_normal,
     q_function_array,
 )
-from .turbulence import FadingLaw
+from .turbulence import TurbulenceParams
 
 # Below ~10 dB average SNR the dropped high-SNR capacity residue is no
 # longer negligible and the bound loses meaning.
@@ -130,20 +130,14 @@ def ber_conditional(m, i, budget: LinkBudget):
     return float(out) if np.isscalar(i) else out
 
 
-def ber_average(
-    m,
-    params: FadingLaw,
-    budget: LinkBudget,
-    *,
-    quad_order: int = DEFAULT_HERMITE_ORDER,
-) -> float:
+def ber_average(m, params: TurbulenceParams, budget: LinkBudget) -> float:
     """Fading-averaged BER, int_0^inf Pb(M, I) f_I(I) dI.
 
     Gauss-Hermite after substituting the Gaussian log-fading variable,
     ln I = log_mean + log_std * sqrt(2) * t.
     """
     order = as_order(m)
-    rule = gauss_hermite(quad_order)
+    rule = gauss_hermite(DEFAULT_HERMITE_ORDER)
     intensity = np.exp(params.log_mean + params.log_std * SQRT2 * rule.nodes)
     values = ber_conditional(order, intensity, budget)
     return float(np.dot(rule.weights, values) / SQRT_PI)
@@ -159,7 +153,7 @@ def _warn_if_untrusted(budget: LinkBudget) -> None:
 
 
 def capacity_upper_numeric(
-    params: FadingLaw, budget: LinkBudget, bandwidth: float
+    params: TurbulenceParams, budget: LinkBudget, bandwidth: float
 ) -> float:
     """Capacity upper bound in bit/s by numerically averaging
     (W/2) log2(snr * I^2 / e) over the fading density."""
@@ -178,7 +172,7 @@ def capacity_upper_numeric(
 
 
 def capacity_upper_closed(
-    params: FadingLaw, budget: LinkBudget, bandwidth: float
+    params: TurbulenceParams, budget: LinkBudget, bandwidth: float
 ) -> float:
     """Closed form of :func:`capacity_upper_numeric`.
 

@@ -42,13 +42,19 @@ _STANDARD_NORMAL = NormalDist()
 # log-domain Gaussian.  The normal tail beyond 10 sigma is ~7.6e-24.
 LOG_DOMAIN_TAIL = 10.0
 
-# Default Gauss-Hermite order for fading averages.  At high SNR the BER
+# Gauss-Hermite order of every fading-averaged BER.  At high SNR the BER
 # integrand is a sharp sigmoid in the log-fading variable and Hermite
 # rules converge slowly on it: 100 nodes keep the absolute gap to the
 # panel-based reference integrator below 1e-8 for log-amplitude
 # deviations up to 0.5 and average SNR up to 30 dB (30 nodes leave
-# ~1e-5 there).  Callers can lower the order where speed matters.
+# ~1e-5 there).
 DEFAULT_HERMITE_ORDER = 100
+
+# Composite Gauss-Legendre panels of the truncated-normal integrator:
+# width in standard deviations of the log-domain Gaussian, and nodes
+# per panel.
+PANEL_WIDTH = 0.5
+PANEL_ORDER = 20
 
 
 def q_function(x: float) -> float:
@@ -136,9 +142,6 @@ def integrate_truncated_normal(
     hi: float,
     mean: float,
     std: float,
-    *,
-    panel_width: float = 0.5,
-    panel_order: int = 20,
 ) -> float:
     """Integrate f(I) against the lognormal density of I over [lo, hi].
 
@@ -160,8 +163,8 @@ def integrate_truncated_normal(
     if u_lo >= u_hi:
         return 0.0  # region lies entirely beyond the truncated tails
 
-    rule = gauss_legendre(panel_order)
-    n_panels = max(1, math.ceil((u_hi - u_lo) / panel_width))
+    rule = gauss_legendre(PANEL_ORDER)
+    n_panels = max(1, math.ceil((u_hi - u_lo) / PANEL_WIDTH))
     edges = np.linspace(u_lo, u_hi, n_panels + 1)
     half_widths = 0.5 * (edges[1:] - edges[:-1])
     u = half_widths[:, None] * rule.nodes + 0.5 * (edges[:-1] + edges[1:])[:, None]

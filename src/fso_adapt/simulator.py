@@ -43,7 +43,7 @@ from . import _psk_kernel_py
 from ._tables import MAX_CONSTELLATION, POPCOUNT, TAB_IM, TAB_OFFSET, TAB_RE
 from .adaptation import AdaptiveScheme, average_ber_adaptive, spectral_efficiency
 from .link import LinkBudget, ModOrder, ber_average
-from .turbulence import FadingLaw, draw_fading
+from .turbulence import TurbulenceParams, draw_fading
 
 try:
     from . import _psk_kernel as _kernel_module
@@ -76,7 +76,7 @@ class SimConfig:
     symbols_per_block: int
     seed: int
     mode: Union[ModOrder, AdaptiveScheme]
-    channel: FadingLaw
+    channel: TurbulenceParams
     budget: LinkBudget
 
     def __post_init__(self) -> None:
@@ -236,21 +236,20 @@ def _fixed_point_size(analytic_ber: float, bits_per_symbol: int, tolerance: floa
 
 def validate_point(
     snr_db: float,
-    params: FadingLaw,
+    params: TurbulenceParams,
     mode: Union[ModOrder, AdaptiveScheme],
     tolerance: float,
     *,
     seed: int = 2024,
-    symbols_per_block: int = 1,
     workers: int = 1,
 ) -> ValidationResult:
     """Size, run and judge one simulated point against the analytics.
 
-    ``symbols_per_block`` defaults to 1 so every symbol sees a fresh
-    fading draw: the marginal error indicator is then exactly Bernoulli
-    and the binomial CI is the right yardstick.  (With long blocks the
-    fading-sampling noise dominates the binomial term and a binomial CI
-    would understate the run-to-run spread.)
+    Every block holds one symbol, so every symbol sees a fresh fading
+    draw: the marginal error indicator is then exactly Bernoulli and the
+    binomial CI is the right yardstick.  (With long blocks the
+    fading-sampling noise would dominate the binomial term and a
+    binomial CI would understate the run-to-run spread.)
 
     Fixed order: the simulated BER must sit within
     max(3 reference CI half-widths, tolerance * analytic) of the
@@ -281,10 +280,9 @@ def validate_point(
                 },
                 report=None,
             )
-        blocks = max(1, math.ceil(symbols / symbols_per_block))
         config = SimConfig(
-            blocks=blocks,
-            symbols_per_block=symbols_per_block,
+            blocks=symbols,
+            symbols_per_block=1,
             seed=seed,
             mode=mode,
             channel=params,
@@ -327,10 +325,9 @@ def validate_point(
             details={"reason": "required sample size exceeds the guard rail"},
             report=None,
         )
-    blocks = max(1, math.ceil(symbols / symbols_per_block))
     config = SimConfig(
-        blocks=blocks,
-        symbols_per_block=symbols_per_block,
+        blocks=math.ceil(symbols),
+        symbols_per_block=1,
         seed=seed,
         mode=mode,
         channel=params,

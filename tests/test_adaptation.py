@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fso_adapt import adaptation
 from fso_adapt.adaptation import (
@@ -123,11 +125,22 @@ class TestSpectralEfficiency:
         params = TurbulenceParams(sigma_x=0.3)
         assert spectral_efficiency(scheme_at(-30.0), params) < 1e-6
 
-    def test_partition_of_unity(self):
-        params = TurbulenceParams(sigma_x=0.5)
-        for db in (0.0, 8.0, 16.0, 24.0):
-            outage, probs = region_probabilities(scheme_at(db), params)
-            assert outage + float(np.sum(probs)) == pytest.approx(1.0, abs=1e-10)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sigma_x=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        f_tx=st.integers(min_value=1, max_value=4),
+        l_rx=st.integers(min_value=1, max_value=4),
+        db=st.floats(min_value=-10.0, max_value=40.0),
+        po=st.floats(min_value=1e-9, max_value=0.5),
+    )
+    @example(sigma_x=0.5, f_tx=1, l_rx=1, db=10.0, po=0.5)  # zero first boundary
+    def test_partition_of_unity(self, sigma_x, f_tx, l_rx, db, po):
+        params = TurbulenceParams(sigma_x=sigma_x, f_tx=f_tx, l_rx=l_rx)
+        outage, probs = region_probabilities(scheme_at(db, po=po), params)
+        assert outage + float(np.sum(probs)) == pytest.approx(1.0, abs=1e-12)
+        assert outage >= 0.0 and np.all(probs >= 0.0)
+        if po == 0.5:
+            assert outage == 0.0
 
     def test_telescoped_equals_weighted_region_sum(self):
         # Identity checked to 1e-12 internally; recompute here too.
@@ -254,7 +267,10 @@ class TestMimo:
     def test_efficiency_ordering_in_aperture_product(self):
         # Beyond the 1x1-vs-2x2 pair: S is ordered by F*L on both sides
         # of the crossover.
-        arrays = [MimoConfig(f, l, 0.3) for f, l in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (4, 4)]]
+        arrays = [
+            MimoConfig(f_tx=f, l_rx=l, sigma_x=0.3)
+            for f, l in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (4, 4)]
+        ]
         for db in (15.0, 20.0, 25.0):
             scheme = compute_boundaries(3, 1e-3, LinkBudget.from_db(db))
             values = [spectral_efficiency(scheme, cfg) for cfg in arrays]

@@ -207,7 +207,7 @@ class TestCapacity:
         cfg = MimoConfig(f_tx=2, l_rx=2, sigma_x=0.3)
         budget = LinkBudget.from_db(15.0)
         closed = capacity_upper_closed(cfg, budget, 1.0)
-        want = 0.5 * (math.log2(budget.avg_snr / math.e) + 2.0 * cfg.m_xi / math.log(2.0))
+        want = 0.5 * (math.log2(budget.avg_snr / math.e) + 2.0 * cfg.log_mean / math.log(2.0))
         assert closed == pytest.approx(want, rel=1e-14)
         assert capacity_upper_numeric(cfg, budget, 1.0) == pytest.approx(closed, rel=1e-9)
 

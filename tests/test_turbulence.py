@@ -50,19 +50,19 @@ class TestParams:
     def test_aggregate_moment_matching(self):
         cfg = MimoConfig(f_tx=2, l_rx=3, sigma_x=0.3)
         spread = math.exp(4 * 0.3 ** 2) - 1.0
-        assert cfg.sigma_xi ** 2 == pytest.approx(math.log(1.0 + spread / 6.0), rel=1e-14)
-        assert cfg.m_xi == -0.5 * cfg.sigma_xi ** 2
+        assert cfg.log_std ** 2 == pytest.approx(math.log(1.0 + spread / 6.0), rel=1e-14)
+        assert cfg.log_mean == -0.5 * cfg.log_std ** 2
 
     def test_single_path_reduction_is_exact(self):
         siso = TurbulenceParams(sigma_x=0.3)
         trivial = MimoConfig(f_tx=1, l_rx=1, sigma_x=0.3)
-        assert trivial.sigma_xi ** 2 == 4.0 * 0.3 ** 2
+        assert trivial.log_std ** 2 == 4.0 * 0.3 ** 2
         assert trivial.log_mean == siso.log_mean
         assert trivial.log_std == siso.log_std
 
     def test_aggregate_spread_shrinks_with_apertures(self):
         spreads = [
-            MimoConfig(f_tx=f, l_rx=l, sigma_x=0.3).sigma_xi
+            MimoConfig(f_tx=f, l_rx=l, sigma_x=0.3).log_std
             for f, l in [(1, 1), (1, 2), (2, 2), (2, 4), (4, 4)]
         ]
         assert all(a > b for a, b in zip(spreads, spreads[1:]))
