@@ -335,34 +335,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trivial_array_reduction_check(seed: int):
-    # A 1x1 aperture array must reproduce the single-path simulation
-    # bit for bit, not merely statistically.
-    from .simulator import ValidationResult
-
-    budget = LinkBudget.from_db(12.0)
-    scheme = compute_boundaries(3, 1e-3, budget)
-
-    def build(channel):
-        return SimConfig(
-            blocks=20000, symbols_per_block=20, seed=seed,
-            mode=scheme, channel=channel, budget=budget,
-        )
-
-    single = run(build(TurbulenceParams(sigma_x=0.3)))
-    trivial = run(build(MimoConfig(f_tx=1, l_rx=1, sigma_x=0.3)))
-    identical = single == trivial
-    return ValidationResult(
-        status="pass" if identical else "fail",
-        details={
-            "bit_identical": identical,
-            "single_path_errors": single.bit_errors,
-            "trivial_array_errors": trivial.bit_errors,
-        },
-        report=single,
-    )
-
-
 def _default_validation_grid(tolerance: float, seed: int, workers: int):
     # (label, params, mode builder) triplets; kept quick but covering
     # fixed/adaptive, weak/strong turbulence and one aperture array.
@@ -389,7 +361,6 @@ def _default_validation_grid(tolerance: float, seed: int, workers: int):
                 ),
             )
         )
-    results.append(("mimo_1x1_equals_single_path_bit_exact", _trivial_array_reduction_check(seed)))
     return results
 
 

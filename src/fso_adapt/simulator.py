@@ -15,9 +15,9 @@ analytic gaps quantify both the nearest-neighbour BER approximation and
 the aggregate-fading approximation.
 
 Determinism: work splits into fixed chunks of consecutive blocks; each
-chunk owns the generator ``default_rng([seed, chunk_index])`` and draws
-in a fixed layout: fading, then per-slab symbol uniforms, then noise
-normals.  Only what the kernel reads is drawn: nothing for outage
+chunk owns the generator ``Generator(SFC64([seed, chunk_index]))`` and
+draws in a fixed layout: fading, then per-slab symbol uniforms, then
+noise normals.  Only what the kernel reads is drawn: nothing for outage
 blocks, one uniform and one in-phase normal per BPSK symbol, and one
 uniform and two normals (in-phase, quadrature) per M >= 4 symbol, packed
 from the front of full-length zero arrays in slot order.  Results
@@ -32,6 +32,7 @@ preferred at import time with a bit-identical numpy fallback (see
 from __future__ import annotations
 
 import math
+import mmap
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -119,40 +120,71 @@ class SimReport:
     kernel: str
 
 
+def _zeros(n: int) -> np.ndarray:
+    # A private anonymous mapping reads as zeros, becomes resident only
+    # where written and is returned to the system when the array dies,
+    # so the unread zero tail never takes memory.  np.zeros may instead
+    # get a freed heap block, which calloc clears, and so touches, in
+    # full; how much the heap keeps then varies from run to run.
+    buf = mmap.mmap(-1, 8 * n, flags=mmap.MAP_PRIVATE)  # fd -1: anonymous
+    if hasattr(mmap, "MADV_HUGEPAGE"):  # Linux: fault in 2 MB at a time
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64)
+
+
+def _classify(scheme: AdaptiveScheme, fading: np.ndarray, k: int):
+    """Assign each block to its adaptation region in one pass.
+
+    ``region`` counts the finite boundaries at or below each fade: 0 is
+    outage and i the i-th active order, so a fade exactly on an edge
+    belongs to the upper region, as in ``select_order``.  Returns the
+    per-block orders, the per-order block histogram, the outage count,
+    the bits sent at ``k`` symbols per block, and the sending (M >= 2)
+    and quadrature (M >= 4) block counts.
+    """
+    edges = scheme.boundaries[:-1]
+    region = np.zeros(fading.size, dtype=np.uint8)  # at most 8 edges
+    for edge in edges:
+        region += fading >= edge
+    counts = np.bincount(region, minlength=edges.size + 1)
+    m_table = np.array([0] + [order.m for order in scheme.orders], dtype=np.int64)
+    bits_table = np.array([0] + list(scheme.bits_per_order), dtype=np.int64)
+    outage = int(counts[0])
+    return (
+        m_table.take(region),
+        counts[1:],
+        outage,
+        int(counts @ bits_table) * k,
+        fading.size - outage,
+        int(counts[m_table >= 4].sum()),
+    )
+
+
 def _run_chunk(config: SimConfig, chunk_index: int, block_lo: int, block_hi: int):
-    rng = np.random.default_rng([config.seed, chunk_index])
+    rng = np.random.Generator(np.random.SFC64([config.seed, chunk_index]))
     nb = block_hi - block_lo
     k = config.symbols_per_block
     fading = draw_fading(config.channel, rng, nb)
     amp = math.sqrt(config.budget.avg_snr) * fading
 
-    if isinstance(config.mode, AdaptiveScheme):
-        region = np.searchsorted(config.mode.boundaries, fading, side="right") - 1
-        m_values = np.array([order.m for order in config.mode.orders], dtype=np.int64)
-        bits_values = np.array([order.bits for order in config.mode.orders], dtype=np.int64)
-        transmitting = region >= 0
-        clamped = np.maximum(region, 0)
-        m_blocks = np.where(transmitting, m_values[clamped], 0).astype(np.int64)
-        bits_per_block = np.where(transmitting, bits_values[clamped], 0)
-        histogram = np.bincount(region[transmitting], minlength=len(m_values))
-        outage_blocks = int(np.count_nonzero(~transmitting))
+    mode = config.mode
+    if isinstance(mode, AdaptiveScheme):
+        m_blocks, histogram, outage_blocks, bits_sent, sending, quad = _classify(mode, fading, k)
     else:
-        m_blocks = np.full(nb, config.mode.m, dtype=np.int64)
-        bits_per_block = np.full(nb, config.mode.bits, dtype=np.int64)
+        m_blocks = np.full(nb, mode.m, dtype=np.int64)
         histogram = np.array([nb], dtype=np.int64)
         outage_blocks = 0
-
-    bits_sent = int(bits_per_block.sum()) * k
-    sending = int(np.count_nonzero(m_blocks >= 2))
-    quad = int(np.count_nonzero(m_blocks >= 4))
+        bits_sent = nb * mode.bits * k
+        sending = nb
+        quad = nb if mode.m >= 4 else 0
 
     kernel = active_kernel
 
     def count(slots: int) -> int:
         # Full-length arrays keep the kernel's length contract; only the
         # prefix it reads is drawn, and the zero tail is never written.
-        u = np.zeros(nb * slots)
-        noise = np.zeros(2 * nb * slots)
+        u = _zeros(nb * slots)
+        noise = _zeros(2 * nb * slots)
         rng.random(out=u[: slots * sending])
         rng.standard_normal(out=noise[: slots * (sending + quad)])
         return int(kernel(amp, m_blocks, u, noise, slots, TAB_RE, TAB_IM, TAB_OFFSET, POPCOUNT))

@@ -71,8 +71,12 @@ class TurbulenceParams:
         # it only approximately, after an exp/log round trip.
         if self.n_paths == 1:
             return 2.0 * self.sigma_x
-        spread = math.expm1(4.0 * self.sigma_x * self.sigma_x)
-        return math.sqrt(math.log1p(spread / self.n_paths))
+        log_var = 4.0 * self.sigma_x * self.sigma_x
+        if log_var < 1e-16:
+            # ln(1 + expm1(v) / n) = v / n to double precision here; the
+            # limit form also keeps v from underflowing for tiny sigma_x.
+            return 2.0 * self.sigma_x / math.sqrt(self.n_paths)
+        return math.sqrt(math.log1p(math.expm1(log_var) / self.n_paths))
 
     @property
     def log_mean(self) -> float:

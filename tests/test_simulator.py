@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fso_adapt import _psk_kernel_py, simulator
 from fso_adapt._tables import POPCOUNT, TAB_IM, TAB_OFFSET, TAB_RE
@@ -300,6 +302,68 @@ class TestRunDraws:
         report, calls = self._recorded_run(config)
         assert calls == []
         assert report.bits_sent == 0 and report.outage_fraction == 1.0
+
+
+class TestClassify:
+    @staticmethod
+    def _reference(scheme, fading, k):
+        # The searchsorted rule of select_order, applied per block.
+        region = np.searchsorted(scheme.boundaries, fading, side="right") - 1
+        m_values = np.array([order.m for order in scheme.orders], dtype=np.int64)
+        bits_values = np.array(scheme.bits_per_order, dtype=np.int64)
+        sending = region >= 0
+        clamped = np.maximum(region, 0)
+        m_blocks = np.where(sending, m_values[clamped], 0)
+        return (
+            m_blocks,
+            np.bincount(region[sending], minlength=len(m_values)),
+            int(np.count_nonzero(~sending)),
+            int(np.where(sending, bits_values[clamped], 0).sum()) * k,
+            int(np.count_nonzero(m_blocks >= 2)),
+            int(np.count_nonzero(m_blocks >= 4)),
+        )
+
+    def _check(self, scheme, fading, k):
+        got = simulator._classify(scheme, fading, k)
+        want = self._reference(scheme, fading, k)
+        assert got[0].dtype == np.int64
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2:] == want[2:]
+        return got
+
+    @pytest.mark.parametrize(
+        "n_orders, po, db",
+        [(5, 1e-3, 15.0), (8, 1e-3, 30.0), (1, 1e-3, 10.0), (3, 0.5, 6.0), (8, 1e-9, 0.0)],
+    )
+    def test_edges_extremes_and_random_batch(self, n_orders, po, db):
+        scheme = compute_boundaries(n_orders, po, LinkBudget.from_db(db))
+        edges = scheme.boundaries[:-1]
+        special = np.concatenate([edges, np.nextafter(edges, 0.0), [0.0, 1e300]])
+        m_blocks, histogram, outage, *_ = self._check(scheme, special, k=3)
+        # A fade exactly on an edge activates the order above it.
+        np.testing.assert_array_equal(m_blocks[: edges.size], [o.m for o in scheme.orders])
+        assert m_blocks[-1] == scheme.orders[-1].m
+        rng = np.random.default_rng(17)
+        self._check(scheme, np.exp(rng.normal(-0.2, 0.8, 5000)) * edges[-1], k=250)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_orders=st.integers(min_value=1, max_value=8),
+        po=st.floats(min_value=1e-9, max_value=0.5),
+        db=st.floats(min_value=-10.0, max_value=40.0),
+        fading=st.lists(
+            st.floats(min_value=0.0, max_value=1e300, allow_subnormal=False), min_size=1, max_size=60
+        ),
+        k=st.integers(min_value=1, max_value=1000),
+    )
+    def test_tallies_partition_the_blocks(self, n_orders, po, db, fading, k):
+        scheme = compute_boundaries(n_orders, po, LinkBudget.from_db(db))
+        fading = np.array(fading)
+        _, histogram, outage, bits_sent, sending, _ = self._check(scheme, fading, k)
+        assert int(histogram.sum()) + outage == fading.size
+        assert sending == fading.size - outage
+        assert bits_sent == k * sum(int(h) * b for h, b in zip(histogram, scheme.bits_per_order))
 
 
 class TestSimConfig:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest
 
@@ -59,6 +61,26 @@ class TestParams:
         assert trivial.log_std ** 2 == 4.0 * 0.3 ** 2
         assert trivial.log_mean == siso.log_mean
         assert trivial.log_std == siso.log_std
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        log10_sigma=st.floats(min_value=-300.0, max_value=-6.0),
+        f_tx=st.integers(min_value=1, max_value=4),
+        l_rx=st.integers(min_value=1, max_value=4),
+    )
+    @example(log10_sigma=-170.0, f_tx=2, l_rx=2)
+    @example(log10_sigma=-160.0, f_tx=2, l_rx=2)
+    @example(log10_sigma=-300.0, f_tx=4, l_rx=4)
+    def test_tiny_sigma_spread_reaches_its_limit(self, log10_sigma, f_tx, l_rx):
+        # For sigma_x -> 0 the moment-matched log spread tends to
+        # 2 sigma_x / sqrt(F L); it must neither underflow nor drift.
+        sigma = 10.0 ** log10_sigma
+        cfg = MimoConfig(f_tx=f_tx, l_rx=l_rx, sigma_x=sigma)
+        limit = 2.0 * sigma / math.sqrt(f_tx * l_rx)
+        assert cfg.log_std > 0.0
+        assert cfg.log_std == pytest.approx(limit, rel=1e-12)
+        if f_tx * l_rx == 1:
+            assert cfg.log_std == 2.0 * sigma
 
     def test_aggregate_spread_shrinks_with_apertures(self):
         spreads = [
