@@ -5,7 +5,9 @@ Output is CSV by default (one header row, fixed column order, floats at
 17 significant digits) or JSON (the same rows wrapped in a metadata
 envelope echoing the resolved parameters, tool version and seed).
 Given identical parameters and seed the output bytes are identical
-across runs.
+across runs.  Notes about a sweep (orders dropped, outage-only points)
+go to stderr, one line per distinct note, and into the JSON metadata
+under ``notes``; CSV output never carries them.
 
 An optional config file (plain ``key=value`` lines, ``#`` comments)
 supplies defaults; explicit command-line flags win.  The environment
@@ -25,8 +27,10 @@ import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .adaptation import compute_boundaries, sweep
+from .adaptation import compute_boundaries, efficiency_sweep, scheme_grid, sweep
 from .link import LinkBudget, ModOrder, ber_average, capacity_upper_closed, capacity_upper_numeric
 from .simulator import SimConfig, run, validate_point
 from .turbulence import MimoConfig, TurbulenceParams
@@ -176,7 +180,32 @@ def _output_path(out: str | None) -> Path | None:
     return path
 
 
-def _emit_table(spec_meta: dict, columns: list[str], rows: list[list], out: str | None, fmt: str) -> None:
+def _collect_notes(points) -> list[dict]:
+    # Each distinct note once, in order of first appearance, with the
+    # SNR points it applies to.
+    where: dict[str, list[float]] = {}
+    for point in points:
+        for note in point.notes:
+            where.setdefault(note, []).append(point.snr_db)
+    return [{"note": note, "snr_db": snrs} for note, snrs in where.items()]
+
+
+def _emit_table(
+    spec_meta: dict,
+    columns: list[str],
+    rows: list[list],
+    out: str | None,
+    fmt: str,
+    notes=(),
+) -> None:
+    """Write the table, and each of ``notes`` as one line to stderr."""
+    for entry in notes:
+        snrs = entry["snr_db"]
+        if len(snrs) == 1:
+            where = f"{snrs[0]:g} dB"
+        else:
+            where = f"{len(snrs)} points, {snrs[0]:g} to {snrs[-1]:g} dB"
+        print(f"note: {entry['note']} ({where})", file=sys.stderr)
     path = _output_path(out)
     if fmt == "csv":
         lines = [",".join(columns)]
@@ -184,7 +213,7 @@ def _emit_table(spec_meta: dict, columns: list[str], rows: list[list], out: str 
         text = "\n".join(lines) + "\n"
     else:
         envelope = {
-            "meta": {"tool": "fso-adapt", "version": __version__, **spec_meta},
+            "meta": {"tool": "fso-adapt", "version": __version__, **spec_meta, "notes": list(notes)},
             "columns": columns,
             "rows": rows,
         }
@@ -239,7 +268,7 @@ def _capacity(bound, channel, budget: LinkBudget) -> float:
 
 def cmd_spectral(spec: SweepSpec) -> int:
     channel = spec.channel()
-    points = sweep(spec.n_orders, spec.po, channel, spec.snr_grid)
+    points = efficiency_sweep(spec.n_orders, spec.po, channel, spec.snr_grid)
     bpsk_at = _bpsk_threshold_snr_db(spec, channel)
     columns = ["snr_db", "s_adaptive", "s_capacity_upper", "s_bpsk_nonadaptive", "outage_prob"]
     rows = []
@@ -256,7 +285,7 @@ def cmd_spectral(spec: SweepSpec) -> int:
         )
     meta = _spec_meta(spec)
     meta["bpsk_ber_meets_target_at_db"] = bpsk_at
-    _emit_table(meta, columns, rows, spec.out, spec.fmt)
+    _emit_table(meta, columns, rows, spec.out, spec.fmt, _collect_notes(points))
     return 0
 
 
@@ -265,22 +294,25 @@ def cmd_ber(spec: SweepSpec) -> int:
     points = sweep(spec.n_orders, spec.po, channel, spec.snr_grid)
     orders = [2 ** j for j in range(1, spec.n_orders + 1)]
     columns = ["snr_db", "ber_adaptive"] + [f"ber_fixed_{m}" for m in orders] + ["p_o_reference"]
-    rows = []
-    for point in points:
-        budget = LinkBudget.from_db(point.snr_db)
-        fixed = [ber_average(m, channel, budget) for m in orders]
-        rows.append([point.snr_db, point.avg_ber] + fixed + [spec.po])
-    _emit_table(_spec_meta(spec), columns, rows, spec.out, spec.fmt)
+    avg_snr = np.array([LinkBudget.from_db(point.snr_db).avg_snr for point in points])
+    fixed = [ber_average(m, channel, avg_snr).tolist() for m in orders]
+    rows = [
+        [point.snr_db, point.avg_ber] + [column[i] for column in fixed] + [spec.po]
+        for i, point in enumerate(points)
+    ]
+    _emit_table(_spec_meta(spec), columns, rows, spec.out, spec.fmt, _collect_notes(points))
     return 0
 
 
 def cmd_thresholds(spec: SweepSpec) -> int:
     columns = ["snr_db"] + [f"i_{j}" for j in range(1, spec.n_orders + 1)]
-    rows = []
-    for snr_db in spec.snr_grid:
-        scheme = compute_boundaries(spec.n_orders, spec.po, LinkBudget.from_db(snr_db))
-        rows.append([snr_db] + list(scheme.thresholds_by_order))
-    _emit_table(_spec_meta(spec), columns, rows, spec.out, spec.fmt)
+    grid = scheme_grid(spec.n_orders, spec.po, spec.snr_grid)
+    error = next((e for e in grid.errors if e is not None), None)
+    if error is not None:
+        raise ValueError(error)
+    rows = [[snr_db] + raw for snr_db, raw in zip(grid.snr_db, grid.thresholds_by_order.tolist())]
+    notes = [{"note": note, "snr_db": list(grid.snr_db)} for note in grid.notes]
+    _emit_table(_spec_meta(spec), columns, rows, spec.out, spec.fmt, notes)
     return 0
 
 

@@ -17,6 +17,7 @@ quantifies its residual error rather than hiding it.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -29,6 +30,7 @@ from .numerics import (
     gauss_hermite,
     integrate_truncated_normal,
     q_function_array,
+    row_dot,
 )
 from .turbulence import TurbulenceParams
 
@@ -38,7 +40,10 @@ _CAPACITY_TRUST_SNR = 10.0
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"avg_snr must be positive and finite, got 10**({db!r}/10)") from None
 
 
 def linear_to_db(value: float) -> float:
@@ -65,6 +70,10 @@ class LinkBudget:
     def __post_init__(self) -> None:
         if not (self.avg_snr > 0.0 and math.isfinite(self.avg_snr)):
             raise ValueError(f"avg_snr must be positive and finite, got {self.avg_snr!r}")
+        # The region boundaries scale as 1/sqrt(snr), which overflows for
+        # a subnormal SNR.
+        if self.avg_snr < sys.float_info.min:
+            raise ValueError(f"avg_snr must be a normal float, got {self.avg_snr!r}")
         parts = (self.mu, self.eta, self.p_opt, self.e_s, self.n_o)
         given = [p is not None for p in parts]
         if any(given):
@@ -116,31 +125,45 @@ def as_order(m) -> ModOrder:
     return m if isinstance(m, ModOrder) else ModOrder(int(m))
 
 
-def ber_conditional(m, i, budget: LinkBudget):
-    """BER of M-PSK at fixed fading ``i`` (scalar or array)."""
+def _avg_snr(budget):
+    # A LinkBudget, or an array of average SNRs (linear) taken from
+    # LinkBudgets, one per point of an SNR grid.
+    return budget.avg_snr if isinstance(budget, LinkBudget) else np.asarray(budget, dtype=float)
+
+
+def ber_conditional(m, i, budget):
+    """BER of M-PSK at fixed fading ``i`` (scalar or array).
+
+    ``budget`` is a LinkBudget, or an array of linear average SNRs that
+    broadcasts against ``i``.
+    """
     order = as_order(m)
     arr = np.asarray(i, dtype=float)
     if np.any(arr <= 0.0):
         raise ValueError("fading intensity must be positive")
-    arg = arr * math.sqrt(2.0 * budget.avg_snr)
+    with np.errstate(over="ignore"):  # an SNR beyond half the float range: BER 0, its limit
+        arg = arr * np.sqrt(2.0 * _avg_snr(budget))
     if order.m == 2:
         out = q_function_array(arg)
     else:
         out = (2.0 / order.bits) * q_function_array(arg * math.sin(math.pi / order.m))
-    return float(out) if np.isscalar(i) else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def ber_average(m, params: TurbulenceParams, budget: LinkBudget) -> float:
+def ber_average(m, params: TurbulenceParams, budget):
     """Fading-averaged BER, int_0^inf Pb(M, I) f_I(I) dI.
 
     Gauss-Hermite after substituting the Gaussian log-fading variable,
-    ln I = log_mean + log_std * sqrt(2) * t.
+    ln I = log_mean + log_std * sqrt(2) * t.  For a LinkBudget the result
+    is a float; for an array of linear average SNRs it is an array of
+    their shape, each entry bit-identical to the call for that SNR alone.
     """
     order = as_order(m)
     rule = gauss_hermite(DEFAULT_HERMITE_ORDER)
     intensity = np.exp(params.log_mean + params.log_std * SQRT2 * rule.nodes)
-    values = ber_conditional(order, intensity, budget)
-    return float(np.dot(rule.weights, values) / SQRT_PI)
+    values = ber_conditional(order, intensity, np.asarray(_avg_snr(budget))[..., None])
+    out = row_dot(values, rule.weights) / SQRT_PI
+    return float(out) if isinstance(budget, LinkBudget) else out
 
 
 def _warn_if_untrusted(budget: LinkBudget) -> None:

@@ -17,7 +17,9 @@ Conventions used throughout:
   where I is lognormal with ln(I) ~ N(mean, std^2).  The substitution
   I = exp(mean + std*u) maps the integral onto a standard-normal
   segment in u, which is then covered by composite Gauss-Legendre
-  panels, all evaluated in one call of the integrand.  Infinite limits
+  panels.  The limits may be arrays: the panels of every interval are
+  evaluated in one call of the integrand, so a whole SNR grid of
+  regions costs one call.  Infinite limits
   are truncated at ten standard deviations in the log domain, where the
   remaining tail mass is below 1e-20.
 """
@@ -136,43 +138,88 @@ def gauss_legendre(order: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=weights, kind="legendre", order=order)
 
 
+def row_dot(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product of every vector along the last axis of ``a`` with ``v``.
+
+    Each row is one (1 x n) @ (n x 1) product, which numpy hands to the
+    BLAS dot, so a row of a batch equals ``np.dot`` on that row alone,
+    bit for bit, whatever the batch size.  A 1-D ``a`` gives a 0-d array.
+    """
+    return (np.asarray(a, dtype=float)[..., None, :] @ np.asarray(v, dtype=float)[:, None])[..., 0, 0]
+
+
 def integrate_truncated_normal(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
+    f: Callable[..., np.ndarray],
+    lo,
+    hi,
     mean: float,
     std: float,
-) -> float:
+    args: tuple = (),
+):
     """Integrate f(I) against the lognormal density of I over [lo, hi].
 
     ``mean``/``std`` parameterize the log-domain Gaussian, i.e.
-    ln(I) ~ N(mean, std^2).  ``hi`` may be +inf.  ``f`` is evaluated once,
-    on a (panels x nodes) array of intensity values, and must return an
-    array of the same shape; any other shape raises ValueError.
+    ln(I) ~ N(mean, std^2).  ``lo`` and ``hi`` are scalars or arrays that
+    broadcast together, one integral per interval; ``hi`` may be +inf.
+    The result is a float for scalar limits and an array of the limits'
+    shape otherwise.  Each interval gets its own panels, and ``f`` is
+    evaluated once, on the (panels x nodes) array of intensities of all
+    intervals; it must return an array of that shape, and any other
+    shape raises ValueError.  Each entry of ``args`` holds one
+    per-interval parameter (an array that broadcasts to the limits'
+    shape); ``f`` receives it as a (panels x 1) column beside the
+    intensities, so ``f(intensity, *columns)`` broadcasts row by row.
     """
     if not (std > 0.0):
         raise ValueError("std must be positive")
-    if not lo < hi:
-        raise ValueError(f"empty integration region: lo={lo!r} >= hi={hi!r}")
-    if lo < 0.0:
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    shape = lo.shape
+    lo, hi = lo.ravel(), hi.ravel()
+    if (lo < 0.0).any():
         warnings.warn("negative lower limit clamped to 0 (intensity is nonnegative)", stacklevel=2)
-        lo = 0.0
+        lo = np.maximum(lo, 0.0)
+    empty = ~(lo < hi)
+    if empty.any():
+        first = int(np.argmax(empty))
+        raise ValueError(f"empty integration region: lo={float(lo[first])!r} >= hi={float(hi[first])!r}")
 
-    u_lo = -LOG_DOMAIN_TAIL if lo == 0.0 else max((math.log(lo) - mean) / std, -LOG_DOMAIN_TAIL)
-    u_hi = LOG_DOMAIN_TAIL if math.isinf(hi) else min((math.log(hi) - mean) / std, LOG_DOMAIN_TAIL)
-    if u_lo >= u_hi:
-        return 0.0  # region lies entirely beyond the truncated tails
+    # log(0) is -inf, and a law too narrow for float resolution maps
+    # its limits to +-inf; both are then cut at the truncation point.
+    with np.errstate(divide="ignore", over="ignore"):
+        u_lo = np.maximum((np.log(lo) - mean) / std, -LOG_DOMAIN_TAIL)
+        u_hi = np.minimum((np.log(hi) - mean) / std, LOG_DOMAIN_TAIL)
+    # A region that lies entirely beyond the truncated tails gets no
+    # panels and integrates to 0.
+    counts = np.where(
+        u_lo < u_hi, np.maximum(1.0, np.ceil((u_hi - u_lo) / PANEL_WIDTH)), 0.0
+    ).astype(np.intp)
+
+    # Panel k of an interval spans the k-th step of
+    # np.linspace(u_lo, u_hi, count + 1), edge for edge.
+    owner = np.repeat(np.arange(lo.size), counts)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    k = np.arange(owner.size) - starts[owner]
+    start, stop, count = u_lo[owner], u_hi[owner], counts[owner]
+    step = (stop - start) / count
+    left = k * step + start
+    right = np.where(k + 1 == count, stop, (k + 1) * step + start)
+    half_widths = 0.5 * (right - left)
 
     rule = gauss_legendre(PANEL_ORDER)
-    n_panels = max(1, math.ceil((u_hi - u_lo) / PANEL_WIDTH))
-    edges = np.linspace(u_lo, u_hi, n_panels + 1)
-    half_widths = 0.5 * (edges[1:] - edges[:-1])
-    u = half_widths[:, None] * rule.nodes + 0.5 * (edges[:-1] + edges[1:])[:, None]
+    u = half_widths[:, None] * rule.nodes + 0.5 * (left + right)[:, None]
     intensity = np.exp(mean + std * u)
-    values = np.asarray(f(intensity), dtype=float)
+    columns = [np.broadcast_to(a, shape).ravel()[owner, None] for a in args]
+    values = np.asarray(f(intensity, *columns), dtype=float)
     if values.shape != intensity.shape:
         raise ValueError(
             f"f returned shape {values.shape} for intensities of shape {intensity.shape}"
         )
     density = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-    return float(np.dot(half_widths, np.sum(rule.weights * values * density, axis=1)))
+    sums = np.sum(rule.weights * values * density, axis=1)
+    # One BLAS dot per interval, so that an interval sums the same in a
+    # batch as alone.
+    totals = np.array(
+        [np.dot(half_widths[a:b], sums[a:b]) for a, b in zip(starts.tolist(), ends.tolist())]
+    )
+    return float(totals[0]) if shape == () else totals.reshape(shape)

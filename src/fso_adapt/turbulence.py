@@ -75,7 +75,9 @@ class TurbulenceParams:
         if log_var < 1e-16:
             # ln(1 + expm1(v) / n) = v / n to double precision here; the
             # limit form also keeps v from underflowing for tiny sigma_x.
-            return 2.0 * self.sigma_x / math.sqrt(self.n_paths)
+            # A spread below the smallest subnormal is kept at that
+            # subnormal, so that the law stays one the quadrature accepts.
+            return max(2.0 * self.sigma_x / math.sqrt(self.n_paths), math.ulp(0.0))
         return math.sqrt(math.log1p(math.expm1(log_var) / self.n_paths))
 
     @property

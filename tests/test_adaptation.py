@@ -2,6 +2,7 @@
 spectral efficiency, average BER and sweeps."""
 
 import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -10,10 +11,13 @@ from hypothesis import strategies as st
 
 from fso_adapt import adaptation
 from fso_adapt.adaptation import (
+    MAX_ORDERS,
     AdaptiveScheme,
     average_ber_adaptive,
     compute_boundaries,
+    efficiency_sweep,
     region_probabilities,
+    scheme_grid,
     select_order,
     spectral_efficiency,
     sweep,
@@ -304,12 +308,26 @@ class TestSweep:
         assert math.isfinite(points[1].avg_ber)
 
     def test_broken_invariant_raises(self, monkeypatch):
-        def broken(scheme, params):
-            raise AssertionError("telescoping identity violated")
+        # A Q-function whose tail at the +inf sentinel is not 0 breaks the
+        # telescoping identity; both sweeps must raise, not return NaN rows.
+        monkeypatch.setattr(adaptation, "q_function_array", lambda x: np.full(np.shape(x), 0.5))
+        for run in (sweep, efficiency_sweep):
+            with pytest.raises(AssertionError, match="telescoping"):
+                run(5, 1e-3, TurbulenceParams(sigma_x=0.3), [15.0])
 
-        monkeypatch.setattr(adaptation, "spectral_efficiency", broken)
-        with pytest.raises(AssertionError, match="telescoping"):
-            sweep(5, 1e-3, TurbulenceParams(sigma_x=0.3), [15.0])
+    def test_snr_beyond_float_range_flagged_at_both_ends(self):
+        # -4000 dB underflows to 0 and 4000 dB overflows; neither aborts
+        # the sweep or emits a numpy warning (warnings are errors here).
+        points = sweep(5, 1e-3, TurbulenceParams(sigma_x=0.3), [-4000.0, 10.0, 4000.0])
+        assert points[0].notes == ("error: avg_snr must be positive and finite, got 0.0",)
+        assert points[2].notes == (
+            "error: avg_snr must be positive and finite, got 10**(4000.0/10)",
+        )
+        for point in (points[0], points[2]):
+            assert math.isnan(point.spectral_eff) and point.orders == ()
+        assert math.isfinite(points[1].avg_ber)
+        with pytest.raises(ValueError, match="positive and finite"):
+            LinkBudget.from_db(4000.0)
 
     def test_grid_validation(self):
         params = TurbulenceParams(sigma_x=0.3)
@@ -317,3 +335,86 @@ class TestSweep:
             sweep(5, 1e-3, params, [])
         with pytest.raises(ValueError):
             sweep(5, 1e-3, params, [10.0, 5.0])
+
+
+OUTAGE_NOTE = "outage_only: transmission probability < 1e-12"
+
+
+def same_fields(a, b) -> bool:
+    # Dataclass equality in which NaN equals NaN.
+    return all(x == y or (x != x and y != y) for x, y in zip(astuple(a), astuple(b)))
+
+
+laws = st.builds(
+    TurbulenceParams,
+    sigma_x=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    f_tx=st.integers(min_value=1, max_value=4),
+    l_rx=st.integers(min_value=1, max_value=4),
+)
+order_counts = st.integers(min_value=1, max_value=MAX_ORDERS)
+targets = st.floats(min_value=1e-9, max_value=0.5)
+grids = st.lists(st.floats(min_value=-50.0, max_value=100.0), min_size=1, max_size=6).map(sorted)
+
+
+class TestGridProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(params=laws, n=order_counts, po=targets, grid=grids)
+    @example(params=TurbulenceParams(0.3), n=5, po=0.5, grid=[0.0, 10.0])
+    @example(params=TurbulenceParams(0.3, 2, 2), n=8, po=1e-3, grid=[-400.0, 15.0, 40.0])
+    @example(params=TurbulenceParams(0.5), n=3, po=0.5, grid=[-4000.0, -3090.0, 10.0, 4000.0])
+    def test_rows_equal_per_point_functions(self, params, n, po, grid):
+        points = sweep(n, po, params, grid)
+        quick = efficiency_sweep(n, po, params, grid)
+        schemes = scheme_grid(n, po, grid)
+        assert len(points) == len(quick) == len(grid)
+        row = 0
+        for point, fast in zip(points, quick):
+            assert same_fields(fast, replace(point, avg_ber=math.nan))
+            try:
+                budget = LinkBudget.from_db(point.snr_db)
+            except ValueError as exc:
+                assert point.notes == (f"error: {exc}",)
+                continue
+            scheme = compute_boundaries(n, po, budget)
+            outage, probs = region_probabilities(scheme, params)
+            ber = average_ber_adaptive(scheme, params)
+            assert point.outage_prob == outage
+            assert point.region_probs == tuple(probs.tolist())
+            assert point.spectral_eff == spectral_efficiency(scheme, params)
+            if ber is None:
+                assert math.isnan(point.avg_ber)
+            else:
+                assert point.avg_ber == ber
+            assert point.orders == tuple(order.m for order in scheme.orders)
+            assert point.notes == scheme.notes + (() if ber is not None else (OUTAGE_NOTE,))
+            assert np.array_equal(schemes.boundaries[row], scheme.boundaries)
+            assert np.array_equal(
+                schemes.thresholds_by_order[row], scheme.thresholds_by_order, equal_nan=True
+            )
+            row += 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(params=laws, n=order_counts, po=targets, grid=grids)
+    @example(params=TurbulenceParams(0.3), n=5, po=0.5, grid=[0.0, 10.0])
+    @example(params=TurbulenceParams(0.3), n=8, po=1e-3, grid=[20.0, 60.0])
+    def test_adaptive_ber_never_exceeds_target(self, params, n, po, grid):
+        for point in sweep(n, po, params, grid):
+            if not math.isnan(point.avg_ber):
+                assert 0.0 <= point.avg_ber <= po
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=order_counts, po=targets, grid=grids)
+    @example(n=5, po=0.5, grid=[0.0, 10.0])
+    @example(n=8, po=1e-3, grid=[-50.0, 100.0])
+    def test_boundaries_times_sqrt_snr_constant(self, n, po, grid):
+        schemes = scheme_grid(n, po, grid)
+        scaled = schemes.boundaries[:, :-1] * np.sqrt(schemes.avg_snr)[:, None]
+        assert scaled == pytest.approx(np.broadcast_to(scaled[0], scaled.shape), rel=1e-13)
+
+    @settings(max_examples=100, deadline=None)
+    @given(params=laws, n=order_counts, po=targets, grid=grids)
+    @example(params=TurbulenceParams(0.3), n=5, po=0.5, grid=[0.0, 10.0])
+    @example(params=TurbulenceParams(0.9, 4, 4), n=8, po=1e-9, grid=[-50.0, 0.0, 100.0])
+    def test_efficiency_nondecreasing_in_snr(self, params, n, po, grid):
+        effs = [point.spectral_eff for point in efficiency_sweep(n, po, params, grid)]
+        assert all(a <= b for a, b in zip(effs, effs[1:]))

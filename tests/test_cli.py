@@ -259,6 +259,8 @@ class TestUsageErrors:
             ["spectral", "--mimo", "2by2"],
             ["ber", "--sigma-x", "7.0"],
             ["thresholds", "--po", "0.7"],
+            ["spectral", "--n", "9"],
+            ["ber", "--n", "0"],
         ],
     )
     def test_bad_arguments_exit_2(self, args):
@@ -277,6 +279,66 @@ class TestTargetBer:
     def test_capacity_ignores_po(self, capsys):
         assert run_cli(["capacity", "--po=2", "--snr", "10:10:1"]) == 0
         assert capsys.readouterr().out.startswith("snr_db,")
+
+
+class TestSnrRange:
+    @pytest.mark.parametrize(
+        "snr, shown",
+        [("0:4000:1000", "10**(4000.0/10)"), ("-4000:0:1000", "0.0")],
+    )
+    @pytest.mark.parametrize("command", ["spectral", "ber", "thresholds", "capacity"])
+    def test_snr_beyond_float_range_is_usage_error(self, command, snr, shown, capsys):
+        # Overflow and underflow of the linear SNR end the same way, with
+        # no traceback and no numpy warning (warnings are errors here).
+        assert run_cli([command, f"--snr={snr}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: avg_snr must be positive and finite, got {shown}\n"
+
+
+class TestNotes:
+    def test_dropped_orders_reach_json_and_stderr(self, tmp_path, capsys):
+        out = tmp_path / "fig.json"
+        assert run_cli(["spectral", "--po", "0.5", "--n", "5", "--snr", "0:10:5",
+                        "--format", "json", "--out", str(out)]) == 0
+        notes = json.loads(out.read_text())["meta"]["notes"]
+        assert {"note": "order 32 dropped: target 0.5 unreachable", "snr_db": [0.0, 5.0, 10.0]} in notes
+        assert any("region empty" in entry["note"] for entry in notes)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == len(notes)
+        assert "note: order 32 dropped: target 0.5 unreachable (3 points, 0 to 10 dB)" in err
+
+    @pytest.mark.parametrize("command", ["spectral", "ber"])
+    def test_outage_only_point_reported(self, command, tmp_path, capsys):
+        out = tmp_path / "fig.json"
+        assert run_cli([command, "--snr=-400:-400:1", "--format", "json", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["meta"]["notes"] == [
+            {"note": "outage_only: transmission probability < 1e-12", "snr_db": [-400.0]}
+        ]
+        assert capsys.readouterr().err == (
+            "note: outage_only: transmission probability < 1e-12 (-400 dB)\n"
+        )
+
+    def test_thresholds_report_dropped_orders(self, capsys):
+        assert run_cli(["thresholds", "--po", "0.45", "--n", "5", "--snr", "10:10:1"]) == 0
+        captured = capsys.readouterr()
+        assert "note: order 32 dropped: target 0.45 unreachable (10 dB)" in captured.err
+        assert captured.out.splitlines()[0] == "snr_db,i_1,i_2,i_3,i_4,i_5"
+
+    def test_csv_bytes_carry_no_notes(self, tmp_path, capsys):
+        # Notes go to stderr only; the CSV table is the same as without them.
+        out = tmp_path / "fig.csv"
+        assert run_cli(["spectral", "--po", "0.5", "--n", "3", "--snr", "0:10:5", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "note" not in text and "dropped" not in text
+        assert text.splitlines()[0] == "snr_db,s_adaptive,s_capacity_upper,s_bpsk_nonadaptive,outage_prob"
+        assert capsys.readouterr().out == ""
+
+    def test_figure_command_prints_no_notes(self, tmp_path, capsys):
+        assert run_cli(["ber", "--sigma-x", "0.3", "--po", "1e-2", "--n", "5",
+                        "--snr", "0:30:0.5", "--out", str(tmp_path / "fig5.csv")]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestSimulateCommand:

@@ -44,7 +44,7 @@ class TestLinkBudget:
         with pytest.raises(ValueError):
             LinkBudget.from_components(mu=mu, eta=1.0, p_opt=1.0, e_s=1.0, n_o=1.0)
 
-    @pytest.mark.parametrize("snr", [0.0, -3.0, math.inf, math.nan])
+    @pytest.mark.parametrize("snr", [0.0, -3.0, math.inf, math.nan, 1e-310])
     def test_snr_validation(self, snr):
         with pytest.raises(ValueError):
             LinkBudget(avg_snr=snr)
@@ -54,6 +54,11 @@ class TestLinkBudget:
         assert linear_to_db(100.0) == pytest.approx(20.0)
         with pytest.raises(ValueError):
             linear_to_db(0.0)
+
+    def test_overflowing_db_is_value_error(self):
+        with pytest.raises(ValueError, match="positive and finite"):
+            db_to_linear(4000.0)
+        assert db_to_linear(-4000.0) == 0.0  # underflow: LinkBudget rejects it
 
 
 class TestModOrder:
@@ -175,6 +180,13 @@ class TestBerAverage:
         budget = LinkBudget.from_db(10.0)
         params = TurbulenceParams(sigma_x=0.3)
         assert ber_average(2, params, budget) > ber_conditional(2, 1.0, budget)
+
+    @pytest.mark.parametrize("m", [2, 8, 32])
+    def test_snr_grid_equals_scalar_calls_bit_for_bit(self, m):
+        params = MimoConfig(sigma_x=0.4, f_tx=2, l_rx=1)
+        budgets = [LinkBudget.from_db(db) for db in np.arange(-5.0, 40.0, 1.5)]
+        grid = ber_average(m, params, np.array([b.avg_snr for b in budgets]))
+        assert grid.tolist() == [ber_average(m, params, b) for b in budgets]
 
 
 class TestCapacity:

@@ -20,6 +20,7 @@ from fso_adapt.numerics import (
     integrate_truncated_normal,
     inverse_q,
     q_function,
+    row_dot,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -281,8 +282,45 @@ class TestIntegrateTruncatedNormal:
             )
         assert got == pytest.approx(1.0, abs=1e-10)
 
+    def test_array_limits_equal_scalar_calls_bit_for_bit(self):
+        f = lambda i: np.log1p(i) / (1.0 + i * i)
+        lo = np.array([[0.0, 0.2, 0.8], [1.3, 1e-9, 1000.0]])
+        hi = np.array([[0.2, 0.8, math.inf], [1.9, 1.3, math.inf]])
+        got = integrate_truncated_normal(f, lo, hi, self.MEAN, self.STD)
+        assert got.shape == lo.shape
+        want = [integrate_truncated_normal(f, a, b, self.MEAN, self.STD) for a, b in zip(lo.flat, hi.flat)]
+        assert got.ravel().tolist() == want
+        assert got[1, 2] == 0.0  # beyond the truncated tail
+
+    def test_per_interval_parameters(self):
+        # args reach f as one column per panel, so f(I) = c * I gives
+        # c_k times the partial mean of interval k.
+        lo, hi = np.array([0.0, 0.5]), np.array([0.5, math.inf])
+        got = integrate_truncated_normal(
+            lambda i, c: c * i, lo, hi, self.MEAN, self.STD, args=(np.array([2.0, 3.0]),)
+        )
+        means = integrate_truncated_normal(lambda i: i, lo, hi, self.MEAN, self.STD)
+        assert got.tolist() == pytest.approx([2.0 * means[0], 3.0 * means[1]], rel=1e-15)
+        assert means.sum() == pytest.approx(1.0, abs=1e-10)
+
+    def test_empty_interval_in_array_raises(self):
+        with pytest.raises(ValueError, match="empty integration region"):
+            integrate_truncated_normal(
+                lambda i: i, np.array([0.0, 2.0]), np.array([1.0, 2.0]), self.MEAN, self.STD
+            )
+
     def test_region_beyond_tail_is_zero(self):
         got = integrate_truncated_normal(
             lambda i: np.ones_like(i), math.exp(self.MEAN + 11 * self.STD), math.inf, self.MEAN, self.STD
         )
         assert got == 0.0
+
+
+class TestRowDot:
+    def test_rows_equal_np_dot_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for rows, n in [(1, 3), (7, 5), (61, 100), (3, 40)]:
+            a = rng.random((rows, n)) * 10.0 ** rng.uniform(-8, 0, (rows, n))
+            v = rng.random(n)
+            assert row_dot(a, v).tolist() == [float(np.dot(v, row)) for row in a]
+        assert row_dot(a[0], v).shape == ()
