@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -32,10 +33,19 @@ import numpy as np
 from . import __version__
 from .adaptation import compute_boundaries, efficiency_sweep, scheme_grid, sweep
 from .link import LinkBudget, ModOrder, ber_average, capacity_upper_closed, capacity_upper_numeric
+from .numerics import inverse_q
 from .simulator import SimConfig, run, validate_point
 from .turbulence import MimoConfig, TurbulenceParams
 
 USAGE_ERROR = 2
+
+# Range in dB of average SNR that the BPSK crossing is bisected over.
+_BPSK_SEARCH_DB = (-30.0, 90.0)
+# Distance in inverse_q(BER) beyond which one evaluation decides the
+# BPSK bisection at every point on its side of the crossing: the BER
+# falls monotonically with SNR, and its rounding noise (about 1e-14
+# relative) moves inverse_q(BER) by less than 1e-12.
+_BPSK_Q_MARGIN = 1e-11
 
 _SWEEP_DEFAULTS = {
     "snr": "0:30:0.5",
@@ -242,15 +252,67 @@ def _spec_meta(spec: SweepSpec) -> dict:
     return meta
 
 
-def _bpsk_threshold_snr_db(spec: SweepSpec, channel) -> float:
-    # Average SNR at which fixed BPSK's fading-averaged BER meets the
-    # target; bisection over dB (BER is monotone decreasing in SNR).
-    # Stops once the midpoint no longer lies strictly inside the bracket,
-    # after which further steps would leave it unchanged.
-    lo, hi = -30.0, 90.0
+def _bpsk_threshold_snr_db(po: float, channel) -> float:
+    """Average SNR in dB at which fixed BPSK's fading-averaged BER meets po.
+
+    The result is that of bisecting the search range on ``BER > po``
+    until the midpoint no longer lies strictly inside the bracket.  Most
+    of that bisection's midpoints are far from the crossing, so secant
+    steps on inverse_q(BER) locate the crossing first, and an evaluation
+    on each side of it, clear by the margin, decides every midpoint
+    beyond.  The bisection is then replayed, evaluating only the
+    midpoints between those two points.
+    """
+    lo, hi = _BPSK_SEARCH_DB
+    q_po = inverse_q(po)
+    # BER > po at and below `over`; BER < po at and above `under`.
+    over, under = -math.inf, math.inf
+
+    def excess(snr_db: float) -> float:
+        # inverse_q(BER) - inverse_q(po), increasing in SNR; +inf once
+        # the BER underflows to 0.
+        nonlocal over, under
+        ber = ber_average(2, channel, LinkBudget.from_db(snr_db))
+        h = inverse_q(ber) - q_po if ber > 0.0 else math.inf
+        if h < -_BPSK_Q_MARGIN:
+            over = max(over, snr_db)
+        elif h > _BPSK_Q_MARGIN:
+            under = min(under, snr_db)
+        return h
+
+    # Secant steps from the bisection's first two midpoints.  Once a step
+    # is below 1e-6 dB its end point is taken as the crossing, without
+    # evaluating it, and is bracketed by two points about twice the
+    # margin from it.  Any failure leaves a wider bracket, never a
+    # different result.
+    x0 = 0.5 * (lo + hi)
+    h0 = excess(x0)
+    x1 = 0.5 * (lo + x0) if h0 > 0.0 else 0.5 * (x0 + hi)
+    h1 = excess(x1)
+    for _ in range(20):
+        if math.isinf(h0):
+            x0, h0, x1, h1 = x1, h1, x0, h0
+        if math.isinf(h1):
+            # The BER underflowed there: step halfway back.
+            x1 = 0.5 * (x0 + x1)
+            h1 = excess(x1)
+            continue
+        if h0 == h1:
+            break
+        slope = (h1 - h0) / (x1 - x0)
+        x2 = min(max(x1 - h1 / slope, lo), hi)
+        if abs(x2 - x1) < 1e-6:
+            offset = 2.0 * _BPSK_Q_MARGIN / abs(slope)
+            for edge in (x2 - offset, x2 + offset):
+                edge = min(max(edge, lo), hi)
+                if over < edge < under:
+                    excess(edge)
+            break
+        x0, h0, x1, h1 = x1, h1, x2, excess(x2)
+
     mid = 0.5 * (lo + hi)
     while lo < mid < hi:
-        if ber_average(2, channel, LinkBudget.from_db(mid)) > spec.po:
+        if mid <= over or (mid < under and ber_average(2, channel, LinkBudget.from_db(mid)) > po):
             lo = mid
         else:
             hi = mid
@@ -258,31 +320,36 @@ def _bpsk_threshold_snr_db(spec: SweepSpec, channel) -> float:
     return mid
 
 
-def _capacity(bound, channel, budget: LinkBudget) -> float:
+def _linear_snr(snr_db_grid) -> np.ndarray:
+    # LinkBudget rejects a grid point whose linear SNR leaves the float range.
+    return np.array([LinkBudget.from_db(snr_db).avg_snr for snr_db in snr_db_grid])
+
+
+def _capacity(bound, channel, avg_snr: np.ndarray) -> list[float]:
     # Grids routinely start below the bound's 10 dB trust level; the
-    # README documents that, so the per-row warning is not repeated here.
+    # README documents that, so the warning is not shown here.
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "capacity upper bound is a high-SNR approximation")
-        return bound(channel, budget, bandwidth=1.0)
+        return bound(channel, avg_snr, bandwidth=1.0).tolist()
 
 
 def cmd_spectral(spec: SweepSpec) -> int:
     channel = spec.channel()
-    points = efficiency_sweep(spec.n_orders, spec.po, channel, spec.snr_grid)
-    bpsk_at = _bpsk_threshold_snr_db(spec, channel)
+    grid = spec.snr_grid
+    points = efficiency_sweep(spec.n_orders, spec.po, channel, grid)
+    bpsk_at = _bpsk_threshold_snr_db(spec.po, channel)
+    capacity = _capacity(capacity_upper_closed, channel, _linear_snr(grid))
     columns = ["snr_db", "s_adaptive", "s_capacity_upper", "s_bpsk_nonadaptive", "outage_prob"]
-    rows = []
-    for point in points:
-        cap = _capacity(capacity_upper_closed, channel, LinkBudget.from_db(point.snr_db))
-        rows.append(
-            [
-                point.snr_db,
-                point.spectral_eff,
-                cap,
-                0.5 if point.snr_db >= bpsk_at else 0.0,
-                point.outage_prob,
-            ]
-        )
+    rows = [
+        [
+            point.snr_db,
+            point.spectral_eff,
+            cap,
+            0.5 if point.snr_db >= bpsk_at else 0.0,
+            point.outage_prob,
+        ]
+        for point, cap in zip(points, capacity)
+    ]
     meta = _spec_meta(spec)
     meta["bpsk_ber_meets_target_at_db"] = bpsk_at
     _emit_table(meta, columns, rows, spec.out, spec.fmt, _collect_notes(points))
@@ -294,7 +361,7 @@ def cmd_ber(spec: SweepSpec) -> int:
     points = sweep(spec.n_orders, spec.po, channel, spec.snr_grid)
     orders = [2 ** j for j in range(1, spec.n_orders + 1)]
     columns = ["snr_db", "ber_adaptive"] + [f"ber_fixed_{m}" for m in orders] + ["p_o_reference"]
-    avg_snr = np.array([LinkBudget.from_db(point.snr_db).avg_snr for point in points])
+    avg_snr = _linear_snr(spec.snr_grid)
     fixed = [ber_average(m, channel, avg_snr).tolist() for m in orders]
     rows = [
         [point.snr_db, point.avg_ber] + [column[i] for column in fixed] + [spec.po]
@@ -319,16 +386,11 @@ def cmd_thresholds(spec: SweepSpec) -> int:
 def cmd_capacity(spec: SweepSpec) -> int:
     channel = spec.channel()
     columns = ["snr_db", "c_upper_closed", "c_upper_numeric"]
-    rows = []
-    for snr_db in spec.snr_grid:
-        budget = LinkBudget.from_db(snr_db)
-        rows.append(
-            [
-                snr_db,
-                _capacity(capacity_upper_closed, channel, budget),
-                _capacity(capacity_upper_numeric, channel, budget),
-            ]
-        )
+    grid = spec.snr_grid
+    avg_snr = _linear_snr(grid)
+    closed = _capacity(capacity_upper_closed, channel, avg_snr)
+    numeric = _capacity(capacity_upper_numeric, channel, avg_snr)
+    rows = [list(row) for row in zip(grid, closed, numeric)]
     _emit_table(_spec_meta(spec), columns, rows, spec.out, spec.fmt)
     return 0
 
@@ -436,7 +498,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing never changes it, and --config
+    # values are merged in _resolve, not set as parser defaults.
     parser = argparse.ArgumentParser(
         prog="fso-adapt",
         description="Adaptive subcarrier-PSK optical link analysis over lognormal turbulence",

@@ -166,8 +166,9 @@ def ber_average(m, params: TurbulenceParams, budget):
     return float(out) if isinstance(budget, LinkBudget) else out
 
 
-def _warn_if_untrusted(budget: LinkBudget) -> None:
-    if budget.avg_snr < _CAPACITY_TRUST_SNR:
+def _warn_if_untrusted(avg_snr) -> None:
+    # Once per call, however many points of a grid lie below the trust level.
+    if np.any(avg_snr < _CAPACITY_TRUST_SNR):
         warnings.warn(
             "capacity upper bound is a high-SNR approximation; "
             f"below {_CAPACITY_TRUST_SNR:.0f} dB average SNR it is not trustworthy",
@@ -175,28 +176,29 @@ def _warn_if_untrusted(budget: LinkBudget) -> None:
         )
 
 
-def capacity_upper_numeric(
-    params: TurbulenceParams, budget: LinkBudget, bandwidth: float
-) -> float:
+def capacity_upper_numeric(params: TurbulenceParams, budget, bandwidth: float):
     """Capacity upper bound in bit/s by numerically averaging
-    (W/2) log2(snr * I^2 / e) over the fading density."""
+    (W/2) log2(snr * I^2 / e) over the fading density.
+
+    ``budget`` is a LinkBudget (the result is a float) or an array of
+    linear average SNRs (an array of its shape, each entry bit-identical
+    to the call for that SNR alone; the whole grid is one quadrature call).
+    """
     if bandwidth <= 0.0:
         raise ValueError("bandwidth must be positive")
-    _warn_if_untrusted(budget)
-    snr = budget.avg_snr
+    snr = np.asarray(_avg_snr(budget))
+    _warn_if_untrusted(snr)
 
-    def integrand(intensity: np.ndarray) -> np.ndarray:
-        return np.log2(snr * intensity * intensity / math.e)
+    def integrand(intensity: np.ndarray, snr_column: np.ndarray) -> np.ndarray:
+        return np.log2(snr_column * intensity * intensity / math.e)
 
     avg = integrate_truncated_normal(
-        integrand, 0.0, math.inf, params.log_mean, params.log_std
+        integrand, np.zeros(snr.shape), math.inf, params.log_mean, params.log_std, args=(snr,)
     )
     return 0.5 * bandwidth * avg
 
 
-def capacity_upper_closed(
-    params: TurbulenceParams, budget: LinkBudget, bandwidth: float
-) -> float:
+def capacity_upper_closed(params: TurbulenceParams, budget, bandwidth: float):
     """Closed form of :func:`capacity_upper_numeric`.
 
     The log2 splits into a constant plus 2 E[ln I] / ln 2, and the
@@ -207,11 +209,14 @@ def capacity_upper_closed(
     which for a single path reduces to (W/2)(log2(snr/e) - 4 sigma_x^2/ln 2).
     For aperture arrays the same moment identity is applied to the
     matched aggregate law; that variant has no independent reference and
-    is flagged as an extrapolation in CLI metadata.
+    is flagged as an extrapolation in CLI metadata.  ``budget`` is a
+    LinkBudget or an array of linear average SNRs, as for the numeric
+    bound; every entry uses the scalar ``math.log2``.
     """
     if bandwidth <= 0.0:
         raise ValueError("bandwidth must be positive")
-    _warn_if_untrusted(budget)
-    return 0.5 * bandwidth * (
-        math.log2(budget.avg_snr / math.e) + 2.0 * params.log_mean / math.log(2.0)
-    )
+    snr = _avg_snr(budget)
+    _warn_if_untrusted(snr)
+    fading = 2.0 * params.log_mean / math.log(2.0)
+    values = [0.5 * bandwidth * (math.log2(s / math.e) + fading) for s in np.ravel(snr).tolist()]
+    return values[0] if isinstance(budget, LinkBudget) else np.array(values).reshape(np.shape(snr))

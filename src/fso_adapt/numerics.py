@@ -184,10 +184,12 @@ def integrate_truncated_normal(
         raise ValueError(f"empty integration region: lo={float(lo[first])!r} >= hi={float(hi[first])!r}")
 
     # log(0) is -inf, and a law too narrow for float resolution maps
-    # its limits to +-inf; both are then cut at the truncation point.
+    # its limits to +-inf; both are then cut at the truncation points.
+    # Clipping both limits from both sides keeps u_hi - u_lo finite
+    # for regions beyond a tail too, which get no panels either way.
     with np.errstate(divide="ignore", over="ignore"):
-        u_lo = np.maximum((np.log(lo) - mean) / std, -LOG_DOMAIN_TAIL)
-        u_hi = np.minimum((np.log(hi) - mean) / std, LOG_DOMAIN_TAIL)
+        u_lo = np.clip((np.log(lo) - mean) / std, -LOG_DOMAIN_TAIL, LOG_DOMAIN_TAIL)
+        u_hi = np.clip((np.log(hi) - mean) / std, -LOG_DOMAIN_TAIL, LOG_DOMAIN_TAIL)
     # A region that lies entirely beyond the truncated tails gets no
     # panels and integrates to 0.
     counts = np.where(

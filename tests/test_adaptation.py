@@ -362,6 +362,9 @@ class TestGridProperties:
     @example(params=TurbulenceParams(0.3), n=5, po=0.5, grid=[0.0, 10.0])
     @example(params=TurbulenceParams(0.3, 2, 2), n=8, po=1e-3, grid=[-400.0, 15.0, 40.0])
     @example(params=TurbulenceParams(0.5), n=3, po=0.5, grid=[-4000.0, -3090.0, 10.0, 4000.0])
+    # A law narrower than float resolution: some regions lie beyond both
+    # truncated tails of the quadrature.
+    @example(params=TurbulenceParams(1.1125369292536007e-308, 2, 2), n=2, po=0.375, grid=[0.0])
     def test_rows_equal_per_point_functions(self, params, n, po, grid):
         points = sweep(n, po, params, grid)
         quick = efficiency_sweep(n, po, params, grid)

@@ -3,10 +3,15 @@ determinism, config precedence and exit codes."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+from fso_adapt import cli
 from fso_adapt.adaptation import compute_boundaries
 from fso_adapt.cli import main
 from fso_adapt.link import LinkBudget, ber_average
@@ -117,20 +122,44 @@ class TestSpectral:
         run_cli(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_bpsk_threshold_equals_full_bisection(self, tmp_path):
-        out = tmp_path / "fig3.json"
-        run_cli(["spectral", "--sigma-x", "0.5", "--po", "1e-3", "--n", "5",
-                 "--snr", "25:30:5", "--format", "json", "--out", str(out)])
-        got = json.loads(out.read_text())["meta"]["bpsk_ber_meets_target_at_db"]
-        channel = TurbulenceParams(sigma_x=0.5)
-        lo, hi = -30.0, 90.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if ber_average(2, channel, LinkBudget.from_db(mid)) > 1e-3:
-                lo = mid
-            else:
-                hi = mid
-        assert got == 0.5 * (lo + hi)
+    def test_bpsk_threshold_equals_full_bisection(self, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return ber_average(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ber_average", spy)
+        # (flags, law, target, largest share of the full bisection's
+        # evaluations): the README's fig3 and fig7 laws, two more targets,
+        # and a law so narrow that the BER underflows to 0 at 30 dB.
+        cases = [
+            (["--sigma-x", "0.5"], TurbulenceParams(0.5), 1e-3, 0.5),
+            (["--sigma-x", "0.3", "--mimo", "2x2"], TurbulenceParams(0.3, 2, 2), 1e-3, 0.5),
+            (["--sigma-x", "0.5"], TurbulenceParams(0.5), 1e-2, 0.5),
+            (["--sigma-x", "0.5"], TurbulenceParams(0.5), 1e-6, 0.5),
+            (["--sigma-x", "0.001"], TurbulenceParams(0.001), 1e-3, 0.6),
+        ]
+        out = tmp_path / "fig.json"
+        for flags, channel, po, share in cases:
+            calls.clear()
+            assert run_cli(["spectral", *flags, "--po", str(po), "--n", "5", "--snr", "25:30:5",
+                            "--format", "json", "--out", str(out)]) == 0
+            got = json.loads(out.read_text())["meta"]["bpsk_ber_meets_target_at_db"]
+            # The full bisection, counting the midpoints strictly inside
+            # the bracket: those are the ones a bisection that stops at
+            # convergence evaluates.
+            lo, hi = -30.0, 90.0
+            evaluated = 0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                evaluated += lo < mid < hi
+                if ber_average(2, channel, LinkBudget.from_db(mid)) > po:
+                    lo = mid
+                else:
+                    hi = mid
+            assert got == 0.5 * (lo + hi), (flags, po)
+            assert 0 < len(calls) <= share * evaluated, (flags, po, len(calls), evaluated)
 
     @pytest.mark.parametrize("command", ["spectral", "capacity"])
     def test_low_snr_grid_emits_no_warning(self, command, tmp_path):
@@ -247,6 +276,33 @@ class TestFormatsAndConfig:
         assert run_cli(["thresholds", "--po", "1e-3", "--n", "2", "--snr", "10:10:1"]) == 0
         captured = capsys.readouterr().out
         assert captured.splitlines()[0] == "snr_db,i_1,i_2"
+
+
+class TestParserReuse:
+    def test_one_process_prints_what_fresh_processes_print(self, tmp_path, capsys):
+        # The parser is built once per process; a usage error or a config
+        # file must leave nothing behind for the next command.
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("sigma_x = 0.5\nn = 2\nsnr = 0:10:5\n")
+        commands = [
+            ["spectral", "--n", "x"],
+            ["thresholds", "--config", str(cfg), "--po", "1e-2"],
+            ["thresholds", "--snr", "10:12:1"],
+        ]
+        assert cli.build_parser() is cli.build_parser()
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        for argv in commands:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "fso_adapt", *argv],
+                capture_output=True, text=True, timeout=60, env=env,
+            )
+            assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert code == 0 and captured.out.startswith("snr_db,i_1,i_2,i_3,i_4,i_5\n")
 
 
 class TestUsageErrors:

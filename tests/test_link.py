@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc
 
 from fso_adapt.link import (
@@ -243,3 +245,35 @@ class TestCapacity:
     def test_bandwidth_validation(self):
         with pytest.raises(ValueError):
             capacity_upper_closed(TurbulenceParams(sigma_x=0.3), LinkBudget(avg_snr=100.0), 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        params=st.builds(
+            TurbulenceParams,
+            sigma_x=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+            f_tx=st.integers(min_value=1, max_value=4),
+            l_rx=st.integers(min_value=1, max_value=4),
+        ),
+        grid=st.lists(st.floats(min_value=-50.0, max_value=100.0), min_size=1, max_size=8),
+        bandwidth=st.floats(min_value=1e-3, max_value=1e9),
+    )
+    @example(params=TurbulenceParams(0.3, 2, 2), grid=[-50.0, 10.0, 10.0, 100.0], bandwidth=1.0)
+    def test_snr_grid_equals_scalar_calls_bit_for_bit(self, params, grid, bandwidth):
+        budgets = [LinkBudget.from_db(db) for db in grid]
+        avg_snr = np.array([b.avg_snr for b in budgets])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for bound in (capacity_upper_closed, capacity_upper_numeric):
+                column = bound(params, avg_snr, bandwidth)
+                assert column.shape == avg_snr.shape
+                assert column.tolist() == [bound(params, b, bandwidth) for b in budgets]
+
+    @pytest.mark.parametrize("bound", [capacity_upper_closed, capacity_upper_numeric])
+    def test_low_snr_grid_warns_once(self, bound):
+        avg_snr = np.array([LinkBudget.from_db(db).avg_snr for db in (0.0, 5.0, 9.0, 15.0, 20.0)])
+        with pytest.warns(UserWarning, match="not trustworthy") as record:
+            bound(TurbulenceParams(sigma_x=0.3), avg_snr, 1.0)
+        assert len(record) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bound(TurbulenceParams(sigma_x=0.3), avg_snr[-2:], 1.0)

@@ -173,6 +173,35 @@ class TestKernels:
         assert a == b
 
     @needs_compiled
+    @settings(max_examples=100, deadline=None)
+    @given(
+        blocks=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([0.0, 5e-324, 1e-300, 1e-12]),
+                    st.floats(min_value=0.0, max_value=1e3),
+                ),
+                st.sampled_from([0, 1, 2, 4, 8, 16, 32, 64, 128, 256]),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        k=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        # Noiseless slots make every decision a tie at amplitude 0.
+        noise_scale=st.sampled_from([0.0, 1.0]),
+    )
+    def test_backends_bit_identical_property(self, blocks, k, seed, noise_scale):
+        amp = np.array([a for a, _ in blocks])
+        m = np.array([order for _, order in blocks], dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        u = rng.random(amp.size * k)
+        noise = noise_scale * rng.standard_normal(2 * amp.size * k)
+        a = _psk_kernel_py.count_bit_errors(amp, m, u, noise, k, TAB_RE, TAB_IM, TAB_OFFSET, POPCOUNT)
+        b = _compiled.count_bit_errors(amp, m, u, noise, k, TAB_RE, TAB_IM, TAB_OFFSET, POPCOUNT)
+        assert a == b
+
+    @needs_compiled
     def test_compiled_kernel_rejects_bad_inputs(self):
         nb, k = 40, 25
         amp, m, u, noise = self._draws(5, nb, k)
