@@ -1,9 +1,12 @@
 """Command-line front end: figure-data sweeps, one-off simulations and
 the simulator-vs-analytics validation suite.
 
-Output is CSV by default (one header row, fixed column order, floats at
-17 significant digits) or JSON (the same rows wrapped in a metadata
-envelope echoing the resolved parameters, tool version and seed).
+Each subcommand's parser carries its handler.  A sweep handler returns
+its table and ``_run_sweep`` writes it: CSV by default (one header row,
+fixed column order, floats at 17 significant digits) or JSON (the same
+rows wrapped in a metadata envelope echoing the resolved parameters,
+tool version and seed).  ``simulate`` and ``validate`` print their
+report and, given ``--out``, also write it in the same envelope.
 Given identical parameters and seed the output bytes are identical
 across runs.  Notes about a sweep (orders dropped, outage-only points)
 go to stderr, one line per distinct note, and into the JSON metadata
@@ -13,7 +16,8 @@ An optional config file (plain ``key=value`` lines, ``#`` comments)
 supplies defaults; explicit command-line flags win.  The environment
 variable ``FSO_ADAPT_OUTDIR`` prefixes relative output paths.
 
-Exit codes: 0 success, 1 validation failure, 2 usage error.
+Exit codes: 0 success, 1 validation failure, 2 usage error (a
+malformed input; one ``error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .adaptation import compute_boundaries, efficiency_sweep, scheme_grid, sweep
 from .link import LinkBudget, ModOrder, ber_average, capacity_upper_closed, capacity_upper_numeric
 from .numerics import inverse_q
 from .simulator import SimConfig, run, validate_point
-from .turbulence import MimoConfig, TurbulenceParams
+from .turbulence import TurbulenceParams
 
 USAGE_ERROR = 2
 
@@ -57,6 +61,18 @@ _SWEEP_DEFAULTS = {
     "format": "csv",
     "out": None,
 }
+
+# (label, SNR in dB, law, fixed order or None for the adaptive scheme):
+# quick, but covering fixed and adaptive, weak and strong turbulence and
+# one aperture array.
+_VALIDATION_GRID = (
+    ("bpsk_no_fading_4.3dB", 4.32, TurbulenceParams(1e-6), ModOrder(2)),
+    ("bpsk_sigma0.3_10dB", 10.0, TurbulenceParams(0.3), ModOrder(2)),
+    ("bpsk_sigma0.5_5dB", 5.0, TurbulenceParams(0.5), ModOrder(2)),
+    ("psk8_sigma0.3_15dB", 15.0, TurbulenceParams(0.3), ModOrder(8)),
+    ("adaptive_sigma0.3_15dB", 15.0, TurbulenceParams(0.3), None),
+    ("adaptive_mimo2x2_15dB", 15.0, TurbulenceParams(0.3, 2, 2), None),
+)
 
 
 class UsageError(Exception):
@@ -93,10 +109,14 @@ def _parse_snr_range(text: str) -> tuple[float, float, float]:
         start, stop, step = (float(part) for part in text.split(":"))
     except ValueError:
         raise UsageError(f"bad --snr range {text!r}, expected start:stop:step")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise UsageError(f"--snr start, stop and step must be finite, got {text!r}")
     if step <= 0.0:
         raise UsageError("--snr step must be positive")
     if start > stop:
         raise UsageError("--snr start must not exceed stop")
+    if not math.isfinite((stop - start) / step):
+        raise UsageError(f"--snr range {text!r} has too many points")
     return start, stop, step
 
 
@@ -180,14 +200,19 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _output_path(out: str | None) -> Path | None:
-    if out is None:
-        return None
+def _envelope(meta: dict, **body) -> str:
+    meta = {"tool": "fso-adapt", "version": __version__, **meta}
+    return json.dumps({"meta": meta, **body}, indent=2) + "\n"
+
+
+def _write(out: str, text: str) -> None:
+    # A relative path lies under FSO_ADAPT_OUTDIR when that is set.
     path = Path(out)
     outdir = os.environ.get("FSO_ADAPT_OUTDIR")
     if outdir and not path.is_absolute():
         path = Path(outdir) / path
-    return path
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
 
 
 def _collect_notes(points) -> list[dict]:
@@ -198,41 +223,6 @@ def _collect_notes(points) -> list[dict]:
         for note in point.notes:
             where.setdefault(note, []).append(point.snr_db)
     return [{"note": note, "snr_db": snrs} for note, snrs in where.items()]
-
-
-def _emit_table(
-    spec_meta: dict,
-    columns: list[str],
-    rows: list[list],
-    out: str | None,
-    fmt: str,
-    notes=(),
-) -> None:
-    """Write the table, and each of ``notes`` as one line to stderr."""
-    for entry in notes:
-        snrs = entry["snr_db"]
-        if len(snrs) == 1:
-            where = f"{snrs[0]:g} dB"
-        else:
-            where = f"{len(snrs)} points, {snrs[0]:g} to {snrs[-1]:g} dB"
-        print(f"note: {entry['note']} ({where})", file=sys.stderr)
-    path = _output_path(out)
-    if fmt == "csv":
-        lines = [",".join(columns)]
-        lines += [",".join(_format_value(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    else:
-        envelope = {
-            "meta": {"tool": "fso-adapt", "version": __version__, **spec_meta, "notes": list(notes)},
-            "columns": columns,
-            "rows": rows,
-        }
-        text = json.dumps(envelope, indent=2, sort_keys=False) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
 
 
 def _spec_meta(spec: SweepSpec) -> dict:
@@ -333,7 +323,7 @@ def _capacity(bound, channel, avg_snr: np.ndarray) -> list[float]:
         return bound(channel, avg_snr, bandwidth=1.0).tolist()
 
 
-def cmd_spectral(spec: SweepSpec) -> int:
+def cmd_spectral(spec: SweepSpec):
     channel = spec.channel()
     grid = spec.snr_grid
     points = efficiency_sweep(spec.n_orders, spec.po, channel, grid)
@@ -350,13 +340,10 @@ def cmd_spectral(spec: SweepSpec) -> int:
         ]
         for point, cap in zip(points, capacity)
     ]
-    meta = _spec_meta(spec)
-    meta["bpsk_ber_meets_target_at_db"] = bpsk_at
-    _emit_table(meta, columns, rows, spec.out, spec.fmt, _collect_notes(points))
-    return 0
+    return columns, rows, _collect_notes(points), {"bpsk_ber_meets_target_at_db": bpsk_at}
 
 
-def cmd_ber(spec: SweepSpec) -> int:
+def cmd_ber(spec: SweepSpec):
     channel = spec.channel()
     points = sweep(spec.n_orders, spec.po, channel, spec.snr_grid)
     orders = [2 ** j for j in range(1, spec.n_orders + 1)]
@@ -367,11 +354,10 @@ def cmd_ber(spec: SweepSpec) -> int:
         [point.snr_db, point.avg_ber] + [column[i] for column in fixed] + [spec.po]
         for i, point in enumerate(points)
     ]
-    _emit_table(_spec_meta(spec), columns, rows, spec.out, spec.fmt, _collect_notes(points))
-    return 0
+    return columns, rows, _collect_notes(points), {}
 
 
-def cmd_thresholds(spec: SweepSpec) -> int:
+def cmd_thresholds(spec: SweepSpec):
     columns = ["snr_db"] + [f"i_{j}" for j in range(1, spec.n_orders + 1)]
     grid = scheme_grid(spec.n_orders, spec.po, spec.snr_grid)
     error = next((e for e in grid.errors if e is not None), None)
@@ -379,11 +365,10 @@ def cmd_thresholds(spec: SweepSpec) -> int:
         raise ValueError(error)
     rows = [[snr_db] + raw for snr_db, raw in zip(grid.snr_db, grid.thresholds_by_order.tolist())]
     notes = [{"note": note, "snr_db": list(grid.snr_db)} for note in grid.notes]
-    _emit_table(_spec_meta(spec), columns, rows, spec.out, spec.fmt, notes)
-    return 0
+    return columns, rows, notes, {}
 
 
-def cmd_capacity(spec: SweepSpec) -> int:
+def cmd_capacity(spec: SweepSpec):
     channel = spec.channel()
     columns = ["snr_db", "c_upper_closed", "c_upper_numeric"]
     grid = spec.snr_grid
@@ -391,18 +376,45 @@ def cmd_capacity(spec: SweepSpec) -> int:
     closed = _capacity(capacity_upper_closed, channel, avg_snr)
     numeric = _capacity(capacity_upper_numeric, channel, avg_snr)
     rows = [list(row) for row in zip(grid, closed, numeric)]
-    _emit_table(_spec_meta(spec), columns, rows, spec.out, spec.fmt)
+    return columns, rows, [], {}
+
+
+def _run_sweep(table, args: argparse.Namespace) -> int:
+    """Write the (columns, rows, notes, extra meta) that ``table`` returns,
+    and each note as one line to stderr."""
+    spec = _build_spec(args.command, args)
+    columns, rows, notes, meta = table(spec)
+    for entry in notes:
+        snrs = entry["snr_db"]
+        if len(snrs) == 1:
+            where = f"{snrs[0]:g} dB"
+        else:
+            where = f"{len(snrs)} points, {snrs[0]:g} to {snrs[-1]:g} dB"
+        print(f"note: {entry['note']} ({where})", file=sys.stderr)
+    if spec.fmt == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join(_format_value(v) for v in row) for row in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        text = _envelope({**_spec_meta(spec), **meta, "notes": notes}, columns=columns, rows=rows)
+    if spec.out is None:
+        sys.stdout.write(text)
+    else:
+        _write(spec.out, text)
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.snr_db is None:
-        raise UsageError("simulate requires --snr-db")
-    symbols = int(float(args.symbols))
+    symbols = float(args.symbols)
+    if not math.isfinite(symbols):
+        raise UsageError(f"--symbols must be finite, got {args.symbols!r}")
+    symbols = int(symbols)
     if symbols < 1:
         raise UsageError("--symbols must be >= 1")
-    block = int(args.block_size)
-    blocks = max(1, math.ceil(symbols / block))
+    block = args.block_size
+    if block < 1:
+        raise UsageError(f"--block-size must be >= 1, got {block}")
+    blocks = math.ceil(symbols / block)
     budget = LinkBudget.from_db(args.snr_db)
     channel = TurbulenceParams(args.sigma_x, *(_parse_mimo(args.mimo) if args.mimo else ()))
     if args.mode == "adaptive":
@@ -422,51 +434,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     payload["per_region_histogram"] = list(report.per_region_histogram)
     for key, value in payload.items():
         print(f"{key} = {_format_value(value)}")
-    path = _output_path(args.out)
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({"meta": {"tool": "fso-adapt", "version": __version__}, "report": payload}, indent=2) + "\n")
+    if args.out is not None:
+        _write(args.out, _envelope({}, report=payload))
     return 0
 
 
-def _default_validation_grid(tolerance: float, seed: int, workers: int):
-    # (label, params, mode builder) triplets; kept quick but covering
-    # fixed/adaptive, weak/strong turbulence and one aperture array.
-    grid = []
-    siso_03 = TurbulenceParams(sigma_x=0.3)
-    siso_05 = TurbulenceParams(sigma_x=0.5)
-    nofade = TurbulenceParams(sigma_x=1e-6)
-    mimo22 = MimoConfig(f_tx=2, l_rx=2, sigma_x=0.3)
-    grid.append(("bpsk_no_fading_4.3dB", 4.32, nofade, ModOrder(2)))
-    grid.append(("bpsk_sigma0.3_10dB", 10.0, siso_03, ModOrder(2)))
-    grid.append(("bpsk_sigma0.5_5dB", 5.0, siso_05, ModOrder(2)))
-    grid.append(("psk8_sigma0.3_15dB", 15.0, siso_03, ModOrder(8)))
-    grid.append(("adaptive_sigma0.3_15dB", 15.0, siso_03, "adaptive"))
-    grid.append(("adaptive_mimo2x2_15dB", 15.0, mimo22, "adaptive"))
-    results = []
-    for label, snr_db, params, mode in grid:
-        if mode == "adaptive":
-            mode = compute_boundaries(5, 1e-3, LinkBudget.from_db(snr_db))
-        results.append(
-            (
-                label,
-                validate_point(
-                    snr_db, params, mode, tolerance, seed=seed, workers=workers
-                ),
-            )
-        )
-    return results
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
-    if args.tolerance is None or args.tolerance <= 0.0:
+    if not 0.0 < args.tolerance < math.inf:
         raise UsageError(f"--tolerance must be a positive number, got {args.tolerance!r}")
     if args.grid != "default":
         raise UsageError(f"unknown validation grid {args.grid!r} (only 'default' is defined)")
-    results = _default_validation_grid(args.tolerance, args.seed, args.workers)
-    failures = 0
     payload = []
-    for label, result in results:
+    for label, snr_db, law, order in _VALIDATION_GRID:
+        mode = order or compute_boundaries(5, 1e-3, LinkBudget.from_db(snr_db))
+        result = validate_point(snr_db, law, mode, args.tolerance, seed=args.seed, workers=args.workers)
         line = f"[{result.status.upper():12s}] {label}"
         if "signed_gap" in result.details:
             line += f"  gap={result.details['signed_gap']:+.3e}"
@@ -474,27 +455,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
             line += f"  eff_gap={result.details['spectral_eff_signed_gap']:+.3e}"
         print(line)
         payload.append({"point": label, "status": result.status, "details": result.details})
-        if result.status == "fail":
-            failures += 1
-    print(f"validate: {len(results) - failures}/{len(results)} points passed")
-    path = _output_path(args.out)
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(
-                {
-                    "meta": {
-                        "tool": "fso-adapt",
-                        "version": __version__,
-                        "tolerance": args.tolerance,
-                        "seed": args.seed,
-                    },
-                    "results": payload,
-                },
-                indent=2,
-            )
-            + "\n"
-        )
+    failures = sum(entry["status"] == "fail" for entry in payload)
+    print(f"validate: {len(payload) - failures}/{len(payload)} points passed")
+    if args.out is not None:
+        _write(args.out, _envelope({"tolerance": args.tolerance, "seed": args.seed}, results=payload))
     return 1 if failures else 0
 
 
@@ -520,15 +484,17 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", help="output path (default: stdout)")
     shared.add_argument("--format", choices=("csv", "json"), help="output format")
 
-    for name, help_text in (
-        ("spectral", "spectral efficiency sweep (adaptive, capacity bound, BPSK step)"),
-        ("ber", "average BER sweep (adaptive and every fixed order)"),
-        ("thresholds", "adaptation region boundaries per SNR point"),
-        ("capacity", "capacity upper bound sweep (closed form and numeric)"),
+    for name, table, help_text in (
+        ("spectral", cmd_spectral, "spectral efficiency sweep (adaptive, capacity bound, BPSK step)"),
+        ("ber", cmd_ber, "average BER sweep (adaptive and every fixed order)"),
+        ("thresholds", cmd_thresholds, "adaptation region boundaries per SNR point"),
+        ("capacity", cmd_capacity, "capacity upper bound sweep (closed form and numeric)"),
     ):
-        sub.add_parser(name, parents=[shared], help=help_text)
+        cmd = sub.add_parser(name, parents=[shared], help=help_text)
+        cmd.set_defaults(handler=functools.partial(_run_sweep, table))
 
     sim = sub.add_parser("simulate", help="run the Monte Carlo link simulator at one point")
+    sim.set_defaults(handler=cmd_simulate)
     sim.add_argument("--mode", choices=("adaptive", "fixed"), default="adaptive")
     sim.add_argument("--m", type=int, default=2, help="constellation size in fixed mode")
     sim.add_argument("--sigma-x", dest="sigma_x", type=float, default=0.3)
@@ -543,6 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", help="also write a JSON report here")
 
     val = sub.add_parser("validate", help="simulator-vs-analytics validation suite")
+    val.set_defaults(handler=cmd_validate)
     val.add_argument("--grid", default="default")
     val.add_argument("--tolerance", type=float, default=0.05)
     val.add_argument("--seed", type=int, default=2024)
@@ -552,23 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command in ("spectral", "ber", "thresholds", "capacity"):
-            spec = _build_spec(args.command, args)
-            handler = {
-                "spectral": cmd_spectral,
-                "ber": cmd_ber,
-                "thresholds": cmd_thresholds,
-                "capacity": cmd_capacity,
-            }[args.command]
-            return handler(spec)
-        if args.command == "simulate":
-            return cmd_simulate(args)
-        if args.command == "validate":
-            return cmd_validate(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return args.handler(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

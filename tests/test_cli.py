@@ -317,10 +317,16 @@ class TestUsageErrors:
             ["thresholds", "--po", "0.7"],
             ["spectral", "--n", "9"],
             ["ber", "--n", "0"],
+            ["spectral", "--snr", "0:inf:1"],
+            ["capacity", "--snr", "0:1e300:1e-300"],
+            ["spectral", "--snr", "nan:1:1"],
         ],
     )
-    def test_bad_arguments_exit_2(self, args):
+    def test_bad_arguments_exit_2(self, args, capsys):
         assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestTargetBer:
@@ -398,16 +404,18 @@ class TestNotes:
 
 
 class TestSimulateCommand:
-    def test_fixed_mode_roundtrip(self, tmp_path, capsys):
-        out = tmp_path / "sim.json"
+    def test_fixed_mode_roundtrip(self, tmp_path, monkeypatch, capsys):
+        # A relative --out lies under FSO_ADAPT_OUTDIR.
+        monkeypatch.setenv("FSO_ADAPT_OUTDIR", str(tmp_path / "results"))
         code = run_cli([
             "simulate", "--mode", "fixed", "--m", "2", "--sigma-x", "0.3",
-            "--snr-db", "10", "--symbols", "2e5", "--seed", "42", "--out", str(out),
+            "--snr-db", "10", "--symbols", "2e5", "--seed", "42", "--out", "sub/sim.json",
         ])
         assert code == 0
         stdout = capsys.readouterr().out
         assert "ber_point" in stdout and "kernel" in stdout
-        payload = json.loads(out.read_text())
+        payload = json.loads((tmp_path / "results" / "sub" / "sim.json").read_text())
+        assert payload["meta"] == {"tool": "fso-adapt", "version": cli.__version__}
         assert payload["report"]["bits_sent"] == 200000
 
     def test_adaptive_mode_deterministic(self, capsys):
@@ -419,23 +427,46 @@ class TestSimulateCommand:
         second = capsys.readouterr().out
         assert first == second
 
+    @pytest.mark.parametrize(
+        "flags, err",
+        [
+            (["--block-size", "0"], "error: --block-size must be >= 1, got 0\n"),
+            (["--symbols", "inf"], "error: --symbols must be finite, got 'inf'\n"),
+        ],
+    )
+    def test_bad_sizes_are_usage_errors(self, flags, err, capsys):
+        assert run_cli(["simulate", "--snr-db", "10", *flags]) == 2
+        assert capsys.readouterr() == ("", err)
+
 
 class TestValidateCommand:
     def test_zero_tolerance_is_usage_error(self, capsys):
-        assert run_cli(["validate", "--grid", "default", "--tolerance", "0"]) == 2
-        assert "tolerance" in capsys.readouterr().err
+        # An infinite tolerance would make every fixed-order band infinite.
+        for tolerance in ("0", "inf"):
+            assert run_cli(["validate", "--grid", "default", "--tolerance", tolerance]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: --tolerance must be a positive number, got {float(tolerance)!r}\n"
 
     def test_unknown_grid_is_usage_error(self):
         assert run_cli(["validate", "--grid", "exotic"]) == 2
 
-    def test_default_grid_passes(self, tmp_path, capsys):
-        out = tmp_path / "validate.json"
+    def test_default_grid_passes(self, tmp_path, monkeypatch, capsys):
+        # A relative --out lies under FSO_ADAPT_OUTDIR.
+        monkeypatch.setenv("FSO_ADAPT_OUTDIR", str(tmp_path / "results"))
         code = run_cli([
             "validate", "--grid", "default", "--tolerance", "0.05",
-            "--seed", "2024", "--out", str(out), "--workers", "2",
+            "--seed", "2024", "--out", "validate.json", "--workers", "2",
         ])
         stdout = capsys.readouterr().out
         assert "points passed" in stdout
         assert code == 0, stdout
-        payload = json.loads(out.read_text())
+        payload = json.loads((tmp_path / "results" / "validate.json").read_text())
+        assert payload["meta"] == {
+            "tool": "fso-adapt", "version": cli.__version__, "tolerance": 0.05, "seed": 2024,
+        }
+        assert [entry["point"] for entry in payload["results"]] == [
+            "bpsk_no_fading_4.3dB", "bpsk_sigma0.3_10dB", "bpsk_sigma0.5_5dB",
+            "psk8_sigma0.3_15dB", "adaptive_sigma0.3_15dB", "adaptive_mimo2x2_15dB",
+        ]
         assert all(entry["status"] == "pass" for entry in payload["results"])

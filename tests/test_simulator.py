@@ -593,5 +593,7 @@ class TestValidatePoint:
         assert result.report is None
 
     def test_tolerance_validation(self):
-        with pytest.raises(ValueError):
-            validate_point(10.0, no_fading(), ModOrder(2), 0.0)
+        # An infinite tolerance would pass any fixed-order simulation.
+        for tolerance in (0.0, -0.05, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+                validate_point(10.0, no_fading(), ModOrder(2), tolerance)
