@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .link import LinkBudget, ModOrder, ber_conditional
+from .link import LinkBudget, ModOrder, ber_conditional, linear_snr
 from .numerics import integrate_truncated_normal, inverse_q, q_function_array, row_dot
 from .turbulence import TurbulenceParams
 
@@ -84,16 +84,12 @@ class AdaptiveScheme:
 class SchemeGrid:
     """The adaptive scheme at every point of an ascending SNR grid (dB).
 
-    ``errors`` holds one entry per point: None, or the reason LinkBudget
-    rejects the point's SNR (not a positive, finite, normal float once
-    made linear).  Such a point has no row;
-    the other points have one row each, in grid order, in ``avg_snr``
-    (linear), ``boundaries`` and ``thresholds_by_order`` (both as in
+    Each point has one row, in grid order, in ``avg_snr`` (linear),
+    ``boundaries`` and ``thresholds_by_order`` (both as in
     AdaptiveScheme).  ``orders`` and ``notes`` hold at every point.
     """
 
     snr_db: tuple[float, ...]
-    errors: tuple[str | None, ...]
     avg_snr: np.ndarray
     orders: tuple[ModOrder, ...]
     boundaries: np.ndarray
@@ -105,8 +101,8 @@ class SchemeGrid:
 class PerfPoint:
     """Analytic performance at one SNR grid point.
 
-    ``avg_ber`` is NaN when the point is outage-only or failed, the
-    reason then being recorded in ``notes``, and at every point of an
+    ``avg_ber`` is NaN when the point is outage-only, the reason then
+    being recorded in ``notes``, and at every point of an
     ``efficiency_sweep``, which does not compute it.
     """
 
@@ -198,27 +194,18 @@ def compute_boundaries(n_orders: int, target_ber: float, budget: LinkBudget) -> 
 def scheme_grid(n_orders: int, target_ber: float, snr_db_grid) -> SchemeGrid:
     """The adaptive scheme over an ascending SNR grid (dB).
 
-    A point whose SNR LinkBudget rejects is recorded in ``errors``;
-    invalid parameters raise ValueError.
+    Invalid parameters, and a point whose SNR LinkBudget rejects, raise
+    ValueError (see ``linear_snr``).
     """
     grid = [float(s) for s in snr_db_grid]
     if not grid:
         raise ValueError("snr grid must be nonempty")
     if any(b < a for a, b in zip(grid[:-1], grid[1:])):
         raise ValueError("snr grid must be sorted ascending")
-    errors: list[str | None] = []
-    avg_snr: list[float] = []
-    for snr_db in grid:
-        try:
-            avg_snr.append(LinkBudget.from_db(snr_db).avg_snr)
-            errors.append(None)
-        except ValueError as exc:
-            errors.append(str(exc))
-    avg_snr = np.array(avg_snr)
+    avg_snr = linear_snr(grid)
     orders, boundaries, raw, notes = _regions(n_orders, target_ber, avg_snr)
     return SchemeGrid(
         snr_db=tuple(grid),
-        errors=tuple(errors),
         avg_snr=avg_snr,
         orders=orders,
         boundaries=boundaries,
@@ -360,11 +347,7 @@ def _sweep(n_orders, target_ber, params, snr_db_grid, with_ber: bool) -> list[Pe
     orders = tuple(order.m for order in grid.orders)
 
     points: list[PerfPoint] = []
-    row = 0
-    for snr_db, error in zip(grid.snr_db, grid.errors):
-        if error is not None:  # flagged entry, never abort the sweep
-            points.append(PerfPoint(snr_db, math.nan, math.nan, math.nan, (), (), (f"error: {error}",)))
-            continue
+    for row, snr_db in enumerate(grid.snr_db):
         notes = grid.notes
         if not mean_bits[row] >= _MIN_TRANSMIT_PROB:
             notes = notes + ("outage_only: transmission probability < 1e-12",)
@@ -379,7 +362,6 @@ def _sweep(n_orders, target_ber, params, snr_db_grid, with_ber: bool) -> list[Pe
                 notes=notes,
             )
         )
-        row += 1
     return points
 
 
@@ -392,9 +374,8 @@ def sweep(
     """Evaluate the adaptive scheme across an ascending SNR grid (dB).
 
     Each point equals the per-point functions at that SNR, bit for bit.
-    A point whose SNR LinkBudget rejects is returned as a flagged entry
-    (NaN fields plus a note), so a long sweep never aborts midway;
-    invalid parameters raise ValueError, and any other exception, such
+    Invalid parameters, and a point whose SNR LinkBudget rejects, raise
+    ValueError before any point is evaluated; any other exception, such
     as a broken internal invariant, propagates.
     """
     return _sweep(n_orders, target_ber, params, snr_db_grid, with_ber=True)

@@ -32,16 +32,26 @@ import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .adaptation import compute_boundaries, efficiency_sweep, scheme_grid, sweep
-from .link import LinkBudget, ModOrder, ber_average, capacity_upper_closed, capacity_upper_numeric
+from .link import (
+    LinkBudget,
+    ModOrder,
+    ber_average,
+    capacity_upper_closed,
+    capacity_upper_numeric,
+    linear_snr,
+)
 from .numerics import inverse_q
 from .simulator import SimConfig, run, validate_point
 from .turbulence import TurbulenceParams
 
 USAGE_ERROR = 2
+
+# Largest number of points in an --snr range.  Memory grows with the
+# grid (about 80 KB per point for ``ber``), and a range counted in
+# billions would otherwise run out of memory instead of being refused.
+MAX_SNR_POINTS = 10_000
 
 # Range in dB of average SNR that the BPSK crossing is bisected over.
 _BPSK_SEARCH_DB = (-30.0, 90.0)
@@ -97,11 +107,18 @@ class SweepSpec:
 
     @property
     def snr_grid(self) -> list[float]:
-        count = int(math.floor((self.snr_stop - self.snr_start) / self.snr_step + 1e-9)) + 1
+        count = _snr_point_count(self.snr_start, self.snr_stop, self.snr_step)
         return [self.snr_start + i * self.snr_step for i in range(count)]
 
     def channel(self) -> TurbulenceParams:
         return TurbulenceParams(self.sigma_x, *(self.mimo or ()))
+
+
+def _snr_point_count(start: float, stop: float, step: float) -> int | float:
+    # Points start + i * step up to stop, forgiving rounding in the
+    # quotient; inf when the quotient overflows.
+    quotient = (stop - start) / step + 1e-9
+    return math.floor(quotient) + 1 if quotient < math.inf else math.inf
 
 
 def _parse_snr_range(text: str) -> tuple[float, float, float]:
@@ -115,8 +132,8 @@ def _parse_snr_range(text: str) -> tuple[float, float, float]:
         raise UsageError("--snr step must be positive")
     if start > stop:
         raise UsageError("--snr start must not exceed stop")
-    if not math.isfinite((stop - start) / step):
-        raise UsageError(f"--snr range {text!r} has too many points")
+    if _snr_point_count(start, stop, step) > MAX_SNR_POINTS:
+        raise UsageError(f"--snr range {text!r} has too many points (the limit is {MAX_SNR_POINTS})")
     return start, stop, step
 
 
@@ -310,12 +327,7 @@ def _bpsk_threshold_snr_db(po: float, channel) -> float:
     return mid
 
 
-def _linear_snr(snr_db_grid) -> np.ndarray:
-    # LinkBudget rejects a grid point whose linear SNR leaves the float range.
-    return np.array([LinkBudget.from_db(snr_db).avg_snr for snr_db in snr_db_grid])
-
-
-def _capacity(bound, channel, avg_snr: np.ndarray) -> list[float]:
+def _capacity(bound, channel, avg_snr) -> list[float]:
     # Grids routinely start below the bound's 10 dB trust level; the
     # README documents that, so the warning is not shown here.
     with warnings.catch_warnings():
@@ -328,7 +340,7 @@ def cmd_spectral(spec: SweepSpec):
     grid = spec.snr_grid
     points = efficiency_sweep(spec.n_orders, spec.po, channel, grid)
     bpsk_at = _bpsk_threshold_snr_db(spec.po, channel)
-    capacity = _capacity(capacity_upper_closed, channel, _linear_snr(grid))
+    capacity = _capacity(capacity_upper_closed, channel, linear_snr(grid))
     columns = ["snr_db", "s_adaptive", "s_capacity_upper", "s_bpsk_nonadaptive", "outage_prob"]
     rows = [
         [
@@ -348,7 +360,7 @@ def cmd_ber(spec: SweepSpec):
     points = sweep(spec.n_orders, spec.po, channel, spec.snr_grid)
     orders = [2 ** j for j in range(1, spec.n_orders + 1)]
     columns = ["snr_db", "ber_adaptive"] + [f"ber_fixed_{m}" for m in orders] + ["p_o_reference"]
-    avg_snr = _linear_snr(spec.snr_grid)
+    avg_snr = linear_snr(spec.snr_grid)
     fixed = [ber_average(m, channel, avg_snr).tolist() for m in orders]
     rows = [
         [point.snr_db, point.avg_ber] + [column[i] for column in fixed] + [spec.po]
@@ -360,9 +372,6 @@ def cmd_ber(spec: SweepSpec):
 def cmd_thresholds(spec: SweepSpec):
     columns = ["snr_db"] + [f"i_{j}" for j in range(1, spec.n_orders + 1)]
     grid = scheme_grid(spec.n_orders, spec.po, spec.snr_grid)
-    error = next((e for e in grid.errors if e is not None), None)
-    if error is not None:
-        raise ValueError(error)
     rows = [[snr_db] + raw for snr_db, raw in zip(grid.snr_db, grid.thresholds_by_order.tolist())]
     notes = [{"note": note, "snr_db": list(grid.snr_db)} for note in grid.notes]
     return columns, rows, notes, {}
@@ -372,7 +381,7 @@ def cmd_capacity(spec: SweepSpec):
     channel = spec.channel()
     columns = ["snr_db", "c_upper_closed", "c_upper_numeric"]
     grid = spec.snr_grid
-    avg_snr = _linear_snr(grid)
+    avg_snr = linear_snr(grid)
     closed = _capacity(capacity_upper_closed, channel, avg_snr)
     numeric = _capacity(capacity_upper_numeric, channel, avg_snr)
     rows = [list(row) for row in zip(grid, closed, numeric)]

@@ -54,18 +54,12 @@ def linear_to_db(value: float) -> float:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Average electrical SNR, optionally carrying its physical constituents.
+    """Average electrical SNR (linear): a positive, finite, normal float.
 
-    When the constituents are supplied, ``avg_snr`` must equal
-    mu^2 eta^2 p_opt^2 e_s / n_o exactly (use :meth:`from_components`).
+    This is the one check of an SNR; ``linear_snr`` applies it to a grid.
     """
 
     avg_snr: float
-    mu: float | None = None
-    eta: float | None = None
-    p_opt: float | None = None
-    e_s: float | None = None
-    n_o: float | None = None
 
     def __post_init__(self) -> None:
         if not (self.avg_snr > 0.0 and math.isfinite(self.avg_snr)):
@@ -74,28 +68,6 @@ class LinkBudget:
         # a subnormal SNR.
         if self.avg_snr < sys.float_info.min:
             raise ValueError(f"avg_snr must be a normal float, got {self.avg_snr!r}")
-        parts = (self.mu, self.eta, self.p_opt, self.e_s, self.n_o)
-        given = [p is not None for p in parts]
-        if any(given):
-            if not all(given):
-                raise ValueError("give all of mu/eta/p_opt/e_s/n_o or none of them")
-            if not (0.0 < self.mu < 1.0):
-                raise ValueError(f"modulation index mu must lie in (0, 1), got {self.mu!r}")
-            if min(self.eta, self.p_opt, self.e_s, self.n_o) <= 0.0:
-                raise ValueError("eta, p_opt, e_s and n_o must all be positive")
-            expected = (self.mu * self.eta * self.p_opt) ** 2 * self.e_s / self.n_o
-            if expected != self.avg_snr:
-                raise ValueError(
-                    f"avg_snr={self.avg_snr!r} inconsistent with constituents "
-                    f"(expected {expected!r})"
-                )
-
-    @classmethod
-    def from_components(
-        cls, mu: float, eta: float, p_opt: float, e_s: float, n_o: float
-    ) -> "LinkBudget":
-        snr = (mu * eta * p_opt) ** 2 * e_s / n_o
-        return cls(avg_snr=snr, mu=mu, eta=eta, p_opt=p_opt, e_s=e_s, n_o=n_o)
 
     @classmethod
     def from_db(cls, snr_db: float) -> "LinkBudget":
@@ -104,6 +76,16 @@ class LinkBudget:
     @property
     def snr_db(self) -> float:
         return linear_to_db(self.avg_snr)
+
+
+def linear_snr(snr_db_grid) -> np.ndarray:
+    """Linear average SNRs of a grid in dB.
+
+    Raises LinkBudget's ValueError at the first point it rejects (one
+    whose linear value underflows to 0, is subnormal or overflows).
+    """
+    # float() first: a numpy float would overflow to inf with a warning.
+    return np.array([LinkBudget.from_db(float(snr_db)).avg_snr for snr_db in snr_db_grid])
 
 
 @dataclass(frozen=True)

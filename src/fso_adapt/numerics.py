@@ -27,7 +27,6 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from statistics import NormalDist
@@ -160,7 +159,8 @@ def integrate_truncated_normal(
 
     ``mean``/``std`` parameterize the log-domain Gaussian, i.e.
     ln(I) ~ N(mean, std^2).  ``lo`` and ``hi`` are scalars or arrays that
-    broadcast together, one integral per interval; ``hi`` may be +inf.
+    broadcast together, one integral per interval; ``hi`` may be +inf,
+    and a negative ``lo`` or an empty interval raises ValueError.
     The result is a float for scalar limits and an array of the limits'
     shape otherwise.  Each interval gets its own panels, and ``f`` is
     evaluated once, on the (panels x nodes) array of intensities of all
@@ -175,9 +175,10 @@ def integrate_truncated_normal(
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     shape = lo.shape
     lo, hi = lo.ravel(), hi.ravel()
-    if (lo < 0.0).any():
-        warnings.warn("negative lower limit clamped to 0 (intensity is nonnegative)", stacklevel=2)
-        lo = np.maximum(lo, 0.0)
+    negative = lo < 0.0
+    if negative.any():
+        first = int(np.argmax(negative))
+        raise ValueError(f"negative lower limit lo={float(lo[first])!r} (intensity is nonnegative)")
     empty = ~(lo < hi)
     if empty.any():
         first = int(np.argmax(empty))

@@ -315,19 +315,25 @@ class TestSweep:
             with pytest.raises(AssertionError, match="telescoping"):
                 run(5, 1e-3, TurbulenceParams(sigma_x=0.3), [15.0])
 
-    def test_snr_beyond_float_range_flagged_at_both_ends(self):
-        # -4000 dB underflows to 0 and 4000 dB overflows; neither aborts
-        # the sweep or emits a numpy warning (warnings are errors here).
-        points = sweep(5, 1e-3, TurbulenceParams(sigma_x=0.3), [-4000.0, 10.0, 4000.0])
-        assert points[0].notes == ("error: avg_snr must be positive and finite, got 0.0",)
-        assert points[2].notes == (
-            "error: avg_snr must be positive and finite, got 10**(4000.0/10)",
-        )
-        for point in (points[0], points[2]):
-            assert math.isnan(point.spectral_eff) and point.orders == ()
-        assert math.isfinite(points[1].avg_ber)
-        with pytest.raises(ValueError, match="positive and finite"):
-            LinkBudget.from_db(4000.0)
+    def test_snr_beyond_float_range_raises(self):
+        # The first point LinkBudget rejects ends the call, with its
+        # message.  -4000 dB underflows to 0 and 4000 dB overflows;
+        # neither emits a numpy warning (warnings are errors here).
+        cases = [
+            (TurbulenceParams(0.3), 5, 1e-3, [-4000.0, 10.0], "positive and finite, got 0.0"),
+            (TurbulenceParams(0.3), 5, 1e-3, [10.0, 4000.0], "positive and finite, got 10**(4000.0/10)"),
+            (TurbulenceParams(0.5), 3, 0.5, [-4000.0, -3090.0, 10.0, 4000.0], "positive and finite, got 0.0"),
+            (TurbulenceParams(0.5), 3, 0.5, [-3090.0, 10.0], "a normal float, got 1e-309"),
+        ]
+        for params, n, po, grid, message in cases:
+            for run in (
+                lambda: sweep(n, po, params, grid),
+                lambda: efficiency_sweep(n, po, params, grid),
+                lambda: scheme_grid(n, po, grid),
+            ):
+                with pytest.raises(ValueError) as raised:
+                    run()
+                assert str(raised.value) == f"avg_snr must be {message}"
 
     def test_grid_validation(self):
         params = TurbulenceParams(sigma_x=0.3)
@@ -361,7 +367,6 @@ class TestGridProperties:
     @given(params=laws, n=order_counts, po=targets, grid=grids)
     @example(params=TurbulenceParams(0.3), n=5, po=0.5, grid=[0.0, 10.0])
     @example(params=TurbulenceParams(0.3, 2, 2), n=8, po=1e-3, grid=[-400.0, 15.0, 40.0])
-    @example(params=TurbulenceParams(0.5), n=3, po=0.5, grid=[-4000.0, -3090.0, 10.0, 4000.0])
     # A law narrower than float resolution: some regions lie beyond both
     # truncated tails of the quadrature.
     @example(params=TurbulenceParams(1.1125369292536007e-308, 2, 2), n=2, po=0.375, grid=[0.0])
@@ -370,15 +375,9 @@ class TestGridProperties:
         quick = efficiency_sweep(n, po, params, grid)
         schemes = scheme_grid(n, po, grid)
         assert len(points) == len(quick) == len(grid)
-        row = 0
-        for point, fast in zip(points, quick):
+        for row, (point, fast) in enumerate(zip(points, quick)):
             assert same_fields(fast, replace(point, avg_ber=math.nan))
-            try:
-                budget = LinkBudget.from_db(point.snr_db)
-            except ValueError as exc:
-                assert point.notes == (f"error: {exc}",)
-                continue
-            scheme = compute_boundaries(n, po, budget)
+            scheme = compute_boundaries(n, po, LinkBudget.from_db(point.snr_db))
             outage, probs = region_probabilities(scheme, params)
             ber = average_ber_adaptive(scheme, params)
             assert point.outage_prob == outage
@@ -394,7 +393,6 @@ class TestGridProperties:
             assert np.array_equal(
                 schemes.thresholds_by_order[row], scheme.thresholds_by_order, equal_nan=True
             )
-            row += 1
 
     @settings(max_examples=100, deadline=None)
     @given(params=laws, n=order_counts, po=targets, grid=grids)

@@ -320,6 +320,7 @@ class TestUsageErrors:
             ["spectral", "--snr", "0:inf:1"],
             ["capacity", "--snr", "0:1e300:1e-300"],
             ["spectral", "--snr", "nan:1:1"],
+            ["thresholds", "--snr", "0:1e9:1"],
         ],
     )
     def test_bad_arguments_exit_2(self, args, capsys):

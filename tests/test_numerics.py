@@ -275,12 +275,11 @@ class TestIntegrateTruncatedNormal:
         with pytest.raises(ValueError):
             integrate_truncated_normal(lambda i: i, 3.0, 1.0, self.MEAN, self.STD)
 
-    def test_negative_lower_limit_clamped_with_note(self):
-        with pytest.warns(UserWarning, match="clamped"):
-            got = integrate_truncated_normal(
-                lambda i: np.ones_like(i), -1.0, math.inf, self.MEAN, self.STD
-            )
-        assert got == pytest.approx(1.0, abs=1e-10)
+    def test_negative_lower_limit_raises(self):
+        with pytest.raises(ValueError, match=r"negative lower limit lo=-1\.0"):
+            integrate_truncated_normal(lambda i: np.ones_like(i), -1.0, math.inf, self.MEAN, self.STD)
+        with pytest.raises(ValueError, match=r"negative lower limit lo=-0\.5"):
+            integrate_truncated_normal(lambda i: i, np.array([0.0, -0.5]), 2.0, self.MEAN, self.STD)
 
     def test_array_limits_equal_scalar_calls_bit_for_bit(self):
         f = lambda i: np.log1p(i) / (1.0 + i * i)
