@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .adaptation import (
     AdaptiveScheme,
-    PerfPoint,
+    SweepTable,
     average_ber_adaptive,
     compute_boundaries,
     region_probabilities,
@@ -50,7 +50,7 @@ from .turbulence import MimoConfig, TurbulenceParams, cdf, pdf, sample_fading
 __all__ = [
     "__version__",
     "AdaptiveScheme",
-    "PerfPoint",
+    "SweepTable",
     "average_ber_adaptive",
     "compute_boundaries",
     "region_probabilities",

@@ -98,21 +98,25 @@ class SchemeGrid:
 
 
 @dataclass(frozen=True)
-class PerfPoint:
-    """Analytic performance at one SNR grid point.
+class SweepTable:
+    """Analytic performance over an ascending SNR grid (dB).
 
-    ``avg_ber`` is NaN when the point is outage-only, the reason then
-    being recorded in ``notes``, and at every point of an
-    ``efficiency_sweep``, which does not compute it.
+    ``avg_snr`` (linear), ``spectral_eff``, ``outage_prob`` and
+    ``avg_ber`` hold one entry per grid point and ``region_probs`` one
+    row; ``orders`` (constellation sizes) hold at every point.
+    ``avg_ber`` is NaN at outage-only points and at every point of an
+    ``efficiency_sweep``, which does not compute it.  ``notes`` holds
+    each distinct note once, with the SNR points it applies to.
     """
 
-    snr_db: float
-    spectral_eff: float
-    avg_ber: float
-    outage_prob: float
-    region_probs: tuple[float, ...]
+    snr_db: tuple[float, ...]
+    avg_snr: np.ndarray
     orders: tuple[int, ...]
-    notes: tuple[str, ...] = ()
+    spectral_eff: np.ndarray
+    outage_prob: np.ndarray
+    region_probs: np.ndarray
+    avg_ber: np.ndarray
+    notes: tuple[tuple[str, tuple[float, ...]], ...]
 
 
 def _regions(n_orders: int, target_ber: float, avg_snr: np.ndarray):
@@ -232,11 +236,14 @@ def _region_split(boundaries: np.ndarray, params: TurbulenceParams):
     """(tails, outage, region probabilities) along the last axis.
 
     tails are Q(x_j) at the standardized log boundaries x_j, and
-    a_j = Q(x_j) - Q(x_{j+1}); outage + sum(a_j) telescopes to 1 by
-    construction.
+    a_j = Q(x_j) - Q(x_{j+1}); the outage is Q(-x_1), which stays
+    accurate in the deep lower tail where 1 - Q(x_1) would cancel, so
+    outage + sum(a_j) is 1 to rounding.
     """
-    tails = q_function_array(params.standardize(boundaries))
-    return tails, 1.0 - tails[..., 0], tails[..., :-1] - tails[..., 1:]
+    x = params.standardize(boundaries)
+    q = q_function_array(np.concatenate([x, -x[..., :1]], axis=-1))
+    tails = q[..., :-1]
+    return tails, q[..., -1], tails[..., :-1] - tails[..., 1:]
 
 
 def _efficiency(tails: np.ndarray, probs: np.ndarray, bits: np.ndarray):
@@ -259,43 +266,47 @@ def _efficiency(tails: np.ndarray, probs: np.ndarray, bits: np.ndarray):
     return s_telescoped, mean_bits
 
 
-def _average_ber(
+def _performance(
     orders: tuple[ModOrder, ...],
     boundaries: np.ndarray,
     avg_snr: np.ndarray,
-    mean_bits: np.ndarray,
     params: TurbulenceParams,
-) -> np.ndarray:
-    """Adaptive average BER of every row; NaN where the transmission
-    probability is negligible (outage-only operating point).
+    with_ber: bool,
+):
+    """(S, outage, region probabilities, average BER, transmit mask) of
+    every row.
 
-    Mean erroneous bits over mean transmitted bits, with per-region
+    A row transmits unless its transmission probability is negligible
+    (an outage-only operating point).  Its average BER is the mean
+    erroneous bits over the mean transmitted bits, with per-region
     fading averages of the conditional BER, all regions of all rows in
-    one quadrature call.
+    one quadrature call.  It is NaN at the other rows, and at every row
+    when ``with_ber`` is false.
     """
+    tails, outage, probs = _region_split(boundaries, params)
+    eff, mean_bits = _efficiency(tails, probs, _bits(orders))
     transmit = mean_bits >= _MIN_TRANSMIT_PROB
-
-    def integrand(intensity, region, snr):
-        values = np.empty_like(intensity)
-        for j, order in enumerate(orders):
-            panels = region[:, 0] == j
-            values[panels] = ber_conditional(order, intensity[panels], snr[panels])
-        return values
-
-    regional = integrate_truncated_normal(
-        integrand,
-        boundaries[transmit, :-1],
-        boundaries[transmit, 1:],
-        params.log_mean,
-        params.log_std,
-        args=(np.arange(len(orders)), avg_snr[transmit, None]),
-    )
-    mean_error_bits = 0.0
-    for j, order in enumerate(orders):
-        mean_error_bits = mean_error_bits + float(order.bits) * regional[:, j]
     ber = np.full(mean_bits.shape, math.nan)
-    ber[transmit] = mean_error_bits / mean_bits[transmit]
-    return ber
+    if with_ber:
+
+        def integrand(intensity, region, snr):
+            values = np.empty_like(intensity)
+            for j, order in enumerate(orders):
+                panels = region[:, 0] == j
+                values[panels] = ber_conditional(order, intensity[panels], snr[panels])
+            return values
+
+        regional = integrate_truncated_normal(
+            integrand,
+            boundaries[transmit, :-1],
+            boundaries[transmit, 1:],
+            params.log_mean,
+            params.log_std,
+            args=(np.arange(len(orders)), avg_snr[transmit, None]),
+        )
+        mean_error_bits = sum(float(order.bits) * regional[:, j] for j, order in enumerate(orders))
+        ber[transmit] = mean_error_bits / mean_bits[transmit]
+    return eff, outage, probs, ber, transmit
 
 
 def _bits(orders: tuple[ModOrder, ...]) -> np.ndarray:
@@ -324,45 +335,30 @@ def average_ber_adaptive(scheme: AdaptiveScheme, params: TurbulenceParams) -> fl
     the target (it equals the target exactly at the lower boundary), so
     the result is always <= target_ber.
     """
-    tails, _, probs = _region_split(scheme.boundaries, params)
-    _, mean_bits = _efficiency(tails, probs, _bits(scheme.orders))
-    ber = _average_ber(
-        scheme.orders,
-        scheme.boundaries[None, :],
-        np.array([scheme.budget.avg_snr]),
-        mean_bits[None],
-        params,
-    )[0]
+    avg_snr = np.array([scheme.budget.avg_snr])
+    ber = _performance(scheme.orders, scheme.boundaries[None, :], avg_snr, params, True)[3][0]
     return None if math.isnan(ber) else float(ber)
 
 
-def _sweep(n_orders, target_ber, params, snr_db_grid, with_ber: bool) -> list[PerfPoint]:
+def _sweep(n_orders, target_ber, params, snr_db_grid, with_ber: bool) -> SweepTable:
     grid = scheme_grid(n_orders, target_ber, snr_db_grid)
-    tails, outage, probs = _region_split(grid.boundaries, params)
-    eff, mean_bits = _efficiency(tails, probs, _bits(grid.orders))
-    if with_ber:
-        ber = _average_ber(grid.orders, grid.boundaries, grid.avg_snr, mean_bits, params)
-    else:
-        ber = np.full(mean_bits.shape, math.nan)
-    orders = tuple(order.m for order in grid.orders)
-
-    points: list[PerfPoint] = []
-    for row, snr_db in enumerate(grid.snr_db):
-        notes = grid.notes
-        if not mean_bits[row] >= _MIN_TRANSMIT_PROB:
-            notes = notes + ("outage_only: transmission probability < 1e-12",)
-        points.append(
-            PerfPoint(
-                snr_db=snr_db,
-                spectral_eff=float(eff[row]),
-                avg_ber=float(ber[row]),
-                outage_prob=float(outage[row]),
-                region_probs=tuple(probs[row].tolist()),
-                orders=orders,
-                notes=notes,
-            )
-        )
-    return points
+    eff, outage, probs, ber, transmit = _performance(
+        grid.orders, grid.boundaries, grid.avg_snr, params, with_ber
+    )
+    notes = [(note, grid.snr_db) for note in grid.notes]
+    outage_only = tuple(snr_db for snr_db, on in zip(grid.snr_db, transmit.tolist()) if not on)
+    if outage_only:
+        notes.append(("outage_only: transmission probability < 1e-12", outage_only))
+    return SweepTable(
+        snr_db=grid.snr_db,
+        avg_snr=grid.avg_snr,
+        orders=tuple(order.m for order in grid.orders),
+        spectral_eff=eff,
+        outage_prob=outage,
+        region_probs=probs,
+        avg_ber=ber,
+        notes=tuple(notes),
+    )
 
 
 def sweep(
@@ -370,10 +366,10 @@ def sweep(
     target_ber: float,
     params: TurbulenceParams,
     snr_db_grid,
-) -> list[PerfPoint]:
+) -> SweepTable:
     """Evaluate the adaptive scheme across an ascending SNR grid (dB).
 
-    Each point equals the per-point functions at that SNR, bit for bit.
+    Each row equals the per-point functions at that SNR, bit for bit.
     Invalid parameters, and a point whose SNR LinkBudget rejects, raise
     ValueError before any point is evaluated; any other exception, such
     as a broken internal invariant, propagates.
@@ -386,7 +382,7 @@ def efficiency_sweep(
     target_ber: float,
     params: TurbulenceParams,
     snr_db_grid,
-) -> list[PerfPoint]:
+) -> SweepTable:
     """``sweep`` without the average BER: spectral efficiency, outage and
-    region probabilities only, with every ``avg_ber`` NaN."""
+    region probabilities only, with ``avg_ber`` NaN throughout."""
     return _sweep(n_orders, target_ber, params, snr_db_grid, with_ber=False)

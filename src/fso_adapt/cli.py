@@ -48,9 +48,10 @@ from .turbulence import TurbulenceParams
 
 USAGE_ERROR = 2
 
-# Largest number of points in an --snr range.  Memory grows with the
-# grid (about 80 KB per point for ``ber``), and a range counted in
-# billions would otherwise run out of memory instead of being refused.
+# Largest number of points in an --snr range.  Memory and time grow
+# with the grid (``ber`` peaks near 110 MB at this limit), and a range
+# counted in billions would otherwise run out of memory instead of being
+# refused.
 MAX_SNR_POINTS = 10_000
 
 # Range in dB of average SNR that the BPSK crossing is bisected over.
@@ -232,16 +233,6 @@ def _write(out: str, text: str) -> None:
     path.write_text(text)
 
 
-def _collect_notes(points) -> list[dict]:
-    # Each distinct note once, in order of first appearance, with the
-    # SNR points it applies to.
-    where: dict[str, list[float]] = {}
-    for point in points:
-        for note in point.notes:
-            where.setdefault(note, []).append(point.snr_db)
-    return [{"note": note, "snr_db": snrs} for note, snrs in where.items()]
-
-
 def _spec_meta(spec: SweepSpec) -> dict:
     meta = {
         "command": spec.command,
@@ -337,44 +328,31 @@ def _capacity(bound, channel, avg_snr) -> list[float]:
 
 def cmd_spectral(spec: SweepSpec):
     channel = spec.channel()
-    grid = spec.snr_grid
-    points = efficiency_sweep(spec.n_orders, spec.po, channel, grid)
+    table = efficiency_sweep(spec.n_orders, spec.po, channel, spec.snr_grid)
     bpsk_at = _bpsk_threshold_snr_db(spec.po, channel)
-    capacity = _capacity(capacity_upper_closed, channel, linear_snr(grid))
+    capacity = _capacity(capacity_upper_closed, channel, table.avg_snr)
+    bpsk = [0.5 if snr_db >= bpsk_at else 0.0 for snr_db in table.snr_db]
     columns = ["snr_db", "s_adaptive", "s_capacity_upper", "s_bpsk_nonadaptive", "outage_prob"]
-    rows = [
-        [
-            point.snr_db,
-            point.spectral_eff,
-            cap,
-            0.5 if point.snr_db >= bpsk_at else 0.0,
-            point.outage_prob,
-        ]
-        for point, cap in zip(points, capacity)
-    ]
-    return columns, rows, _collect_notes(points), {"bpsk_ber_meets_target_at_db": bpsk_at}
+    eff, outage = table.spectral_eff.tolist(), table.outage_prob.tolist()
+    rows = [list(row) for row in zip(table.snr_db, eff, capacity, bpsk, outage)]
+    return columns, rows, table.notes, {"bpsk_ber_meets_target_at_db": bpsk_at}
 
 
 def cmd_ber(spec: SweepSpec):
     channel = spec.channel()
-    points = sweep(spec.n_orders, spec.po, channel, spec.snr_grid)
+    table = sweep(spec.n_orders, spec.po, channel, spec.snr_grid)
     orders = [2 ** j for j in range(1, spec.n_orders + 1)]
     columns = ["snr_db", "ber_adaptive"] + [f"ber_fixed_{m}" for m in orders] + ["p_o_reference"]
-    avg_snr = linear_snr(spec.snr_grid)
-    fixed = [ber_average(m, channel, avg_snr).tolist() for m in orders]
-    rows = [
-        [point.snr_db, point.avg_ber] + [column[i] for column in fixed] + [spec.po]
-        for i, point in enumerate(points)
-    ]
-    return columns, rows, _collect_notes(points), {}
+    fixed = [ber_average(m, channel, table.avg_snr).tolist() for m in orders]
+    rows = [list(row) + [spec.po] for row in zip(table.snr_db, table.avg_ber.tolist(), *fixed)]
+    return columns, rows, table.notes, {}
 
 
 def cmd_thresholds(spec: SweepSpec):
     columns = ["snr_db"] + [f"i_{j}" for j in range(1, spec.n_orders + 1)]
     grid = scheme_grid(spec.n_orders, spec.po, spec.snr_grid)
     rows = [[snr_db] + raw for snr_db, raw in zip(grid.snr_db, grid.thresholds_by_order.tolist())]
-    notes = [{"note": note, "snr_db": list(grid.snr_db)} for note in grid.notes]
-    return columns, rows, notes, {}
+    return columns, rows, [(note, grid.snr_db) for note in grid.notes], {}
 
 
 def cmd_capacity(spec: SweepSpec):
@@ -390,21 +368,21 @@ def cmd_capacity(spec: SweepSpec):
 
 def _run_sweep(table, args: argparse.Namespace) -> int:
     """Write the (columns, rows, notes, extra meta) that ``table`` returns,
-    and each note as one line to stderr."""
+    and each (note, SNR points) pair of notes as one line to stderr."""
     spec = _build_spec(args.command, args)
     columns, rows, notes, meta = table(spec)
-    for entry in notes:
-        snrs = entry["snr_db"]
+    for note, snrs in notes:
         if len(snrs) == 1:
             where = f"{snrs[0]:g} dB"
         else:
             where = f"{len(snrs)} points, {snrs[0]:g} to {snrs[-1]:g} dB"
-        print(f"note: {entry['note']} ({where})", file=sys.stderr)
+        print(f"note: {note} ({where})", file=sys.stderr)
     if spec.fmt == "csv":
         lines = [",".join(columns)]
         lines += [",".join(_format_value(v) for v in row) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
+        notes = [{"note": note, "snr_db": snrs} for note, snrs in notes]
         text = _envelope({**_spec_meta(spec), **meta, "notes": notes}, columns=columns, rows=rows)
     if spec.out is None:
         sys.stdout.write(text)

@@ -17,11 +17,11 @@ Conventions used throughout:
   where I is lognormal with ln(I) ~ N(mean, std^2).  The substitution
   I = exp(mean + std*u) maps the integral onto a standard-normal
   segment in u, which is then covered by composite Gauss-Legendre
-  panels.  The limits may be arrays: the panels of every interval are
-  evaluated in one call of the integrand, so a whole SNR grid of
-  regions costs one call.  Infinite limits
-  are truncated at ten standard deviations in the log domain, where the
-  remaining tail mass is below 1e-20.
+  panels.  The limits may be arrays: the integrand is called on whole
+  intervals at a time, up to ``MAX_PANELS_PER_CALL`` panels per call, so
+  a whole SNR grid of regions costs a few calls in bounded memory.  Both
+  limits are clipped into ten standard deviations of the mean in the log
+  domain, beyond which the tail mass is below 1e-20.
 """
 
 from __future__ import annotations
@@ -56,6 +56,9 @@ DEFAULT_HERMITE_ORDER = 100
 # per panel.
 PANEL_WIDTH = 0.5
 PANEL_ORDER = 20
+# Panels per call of the integrand, unless one interval alone has more;
+# each panel costs a few KB of temporaries.
+MAX_PANELS_PER_CALL = 8192
 
 
 def q_function(x: float) -> float:
@@ -163,9 +166,11 @@ def integrate_truncated_normal(
     and a negative ``lo`` or an empty interval raises ValueError.
     The result is a float for scalar limits and an array of the limits'
     shape otherwise.  Each interval gets its own panels, and ``f`` is
-    evaluated once, on the (panels x nodes) array of intensities of all
-    intervals; it must return an array of that shape, and any other
-    shape raises ValueError.  Each entry of ``args`` holds one
+    evaluated on the (panels x nodes) array of intensities of a group of
+    whole intervals, at most ``MAX_PANELS_PER_CALL`` panels unless one
+    interval alone has more; it must return an array of that shape, and
+    any other shape raises ValueError.  Each interval sums alone, so the
+    grouping never changes a result.  Each entry of ``args`` holds one
     per-interval parameter (an array that broadcasts to the limits'
     shape); ``f`` receives it as a (panels x 1) column beside the
     intensities, so ``f(intensity, *columns)`` broadcasts row by row.
@@ -197,32 +202,38 @@ def integrate_truncated_normal(
         u_lo < u_hi, np.maximum(1.0, np.ceil((u_hi - u_lo) / PANEL_WIDTH)), 0.0
     ).astype(np.intp)
 
-    # Panel k of an interval spans the k-th step of
-    # np.linspace(u_lo, u_hi, count + 1), edge for edge.
-    owner = np.repeat(np.arange(lo.size), counts)
     ends = np.cumsum(counts)
     starts = ends - counts
-    k = np.arange(owner.size) - starts[owner]
-    start, stop, count = u_lo[owner], u_hi[owner], counts[owner]
-    step = (stop - start) / count
-    left = k * step + start
-    right = np.where(k + 1 == count, stop, (k + 1) * step + start)
-    half_widths = 0.5 * (right - left)
-
     rule = gauss_legendre(PANEL_ORDER)
-    u = half_widths[:, None] * rule.nodes + 0.5 * (left + right)[:, None]
-    intensity = np.exp(mean + std * u)
-    columns = [np.broadcast_to(a, shape).ravel()[owner, None] for a in args]
-    values = np.asarray(f(intensity, *columns), dtype=float)
-    if values.shape != intensity.shape:
-        raise ValueError(
-            f"f returned shape {values.shape} for intensities of shape {intensity.shape}"
-        )
-    density = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-    sums = np.sum(rule.weights * values * density, axis=1)
-    # One BLAS dot per interval, so that an interval sums the same in a
-    # batch as alone.
-    totals = np.array(
-        [np.dot(half_widths[a:b], sums[a:b]) for a, b in zip(starts.tolist(), ends.tolist())]
-    )
+    args = [np.broadcast_to(a, shape).ravel() for a in args]
+    totals = np.empty(lo.size)
+    first = 0
+    while first < lo.size:
+        last = np.searchsorted(ends, starts[first] + MAX_PANELS_PER_CALL, side="right")
+        last = max(first + 1, int(last))
+        # Panel k of an interval spans the k-th step of
+        # np.linspace(u_lo, u_hi, count + 1), edge for edge.
+        owner = np.repeat(np.arange(first, last), counts[first:last])
+        offsets = starts[first:last] - starts[first]
+        k = np.arange(owner.size) - offsets[owner - first]
+        start, stop, count = u_lo[owner], u_hi[owner], counts[owner]
+        step = (stop - start) / count
+        left = k * step + start
+        right = np.where(k + 1 == count, stop, (k + 1) * step + start)
+        half_widths = 0.5 * (right - left)
+
+        u = half_widths[:, None] * rule.nodes + 0.5 * (left + right)[:, None]
+        intensity = np.exp(mean + std * u)
+        values = np.asarray(f(intensity, *(a[owner, None] for a in args)), dtype=float)
+        if values.shape != intensity.shape:
+            raise ValueError(
+                f"f returned shape {values.shape} for intensities of shape {intensity.shape}"
+            )
+        density = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
+        sums = np.sum(rule.weights * values * density, axis=1)
+        # One BLAS dot per interval, so that an interval sums the same in
+        # a group as alone.
+        bounds = zip(offsets.tolist(), (offsets + counts[first:last]).tolist())
+        totals[first:last] = [np.dot(half_widths[a:b], sums[a:b]) for a, b in bounds]
+        first = last
     return float(totals[0]) if shape == () else totals.reshape(shape)

@@ -142,11 +142,11 @@ def test_criterion_2_adaptive_ber_never_exceeds_target():
     for sigma in (0.1, 0.3, 0.5):
         params = TurbulenceParams(sigma_x=sigma)
         for po in (1e-2, 1e-3):
-            for point in sweep(5, po, params, grid):
-                if math.isnan(point.avg_ber):
+            for ber in sweep(5, po, params, grid).avg_ber.tolist():
+                if math.isnan(ber):
                     continue
                 checked += 1
-                if point.avg_ber > po:
+                if ber > po:
                     violations += 1
     report(
         2,
@@ -251,9 +251,12 @@ def test_criterion_6_monte_carlo_agreement_adaptive():
 
 def test_criterion_7_mimo_reduction_and_crossover():
     grid = list(np.arange(0.0, 30.5, 0.5))
-    siso_points = sweep(3, 1e-3, TurbulenceParams(sigma_x=0.3), grid)
-    trivial_points = sweep(3, 1e-3, MimoConfig(f_tx=1, l_rx=1, sigma_x=0.3), grid)
-    reduction_ok = siso_points == trivial_points
+    siso = sweep(3, 1e-3, TurbulenceParams(sigma_x=0.3), grid)
+    trivial = sweep(3, 1e-3, MimoConfig(f_tx=1, l_rx=1, sigma_x=0.3), grid)
+    reduction_ok = all(
+        np.array_equal(a, b, equal_nan=True) if isinstance(a, np.ndarray) else a == b
+        for a, b in zip(vars(siso).values(), vars(trivial).values())
+    )
 
     budget = LinkBudget.from_db(14.0)
     scheme = compute_boundaries(3, 1e-3, budget)

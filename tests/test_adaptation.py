@@ -2,12 +2,13 @@
 spectral efficiency, average BER and sweeps."""
 
 import math
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from fso_adapt import adaptation
 from fso_adapt.adaptation import (
@@ -146,6 +147,21 @@ class TestSpectralEfficiency:
         if po == 0.5:
             assert outage == 0.0
 
+    def test_outage_matches_normal_cdf_in_lower_tail(self):
+        # Outage is P{ln I < ln I_1}; 1 - Q(x_1) would round to 0 from
+        # 22 dB up here and lose digits already at 20 dB.
+        params = TurbulenceParams(sigma_x=0.1)
+        grid = [20.0, 22.0, 30.0]
+        table = efficiency_sweep(5, 1e-3, params, grid)
+        for db, outage in zip(grid, table.outage_prob.tolist()):
+            want = norm.cdf(params.standardize(scheme_at(db).boundaries[0]))
+            assert outage == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert region_probabilities(scheme_at(db), params)[0] == outage
+        expected = [3.0817e-14, 2.446e-18, 1.948e-40]
+        assert table.outage_prob.tolist() == pytest.approx(expected, rel=1e-3, abs=0.0)
+        always_on = efficiency_sweep(5, 0.5, params, [0.0, 10.0, 30.0])
+        assert always_on.outage_prob.tolist() == [0.0, 0.0, 0.0]
+
     def test_telescoped_equals_weighted_region_sum(self):
         # Identity checked to 1e-12 internally; recompute here too.
         params = TurbulenceParams(sigma_x=0.3)
@@ -242,10 +258,7 @@ class TestMimo:
         siso = TurbulenceParams(sigma_x=0.3)
         trivial = MimoConfig(f_tx=1, l_rx=1, sigma_x=0.3)
         grid = list(np.arange(0.0, 30.5, 1.0))
-        points_a = sweep(5, 1e-3, siso, grid)
-        points_b = sweep(5, 1e-3, trivial, grid)
-        for a, b in zip(points_a, points_b):
-            assert a == b  # dataclass equality covers every field
+        assert same_fields(sweep(5, 1e-3, siso, grid), sweep(5, 1e-3, trivial, grid))
 
     def test_crossover_moderate_turbulence(self):
         # More apertures help at high SNR and hurt at low SNR (the
@@ -288,24 +301,23 @@ class TestMimo:
 class TestSweep:
     def test_single_point_matches_direct_calls(self):
         params = TurbulenceParams(sigma_x=0.3)
-        point = sweep(5, 1e-3, params, [15.0])[0]
+        table = sweep(5, 1e-3, params, [15.0])
         scheme = scheme_at(15.0)
-        assert point.spectral_eff == spectral_efficiency(scheme, params)
-        assert point.avg_ber == average_ber_adaptive(scheme, params)
-        assert point.orders == (2, 4, 8, 16, 32)
+        assert table.spectral_eff.tolist() == [spectral_efficiency(scheme, params)]
+        assert table.avg_ber.tolist() == [average_ber_adaptive(scheme, params)]
+        assert table.orders == (2, 4, 8, 16, 32)
 
     def test_efficiency_nondecreasing_in_snr(self):
         params = TurbulenceParams(sigma_x=0.5)
-        points = sweep(5, 1e-3, params, list(np.arange(0.0, 30.5, 0.5)))
-        effs = [p.spectral_eff for p in points]
+        effs = sweep(5, 1e-3, params, list(np.arange(0.0, 30.5, 0.5))).spectral_eff.tolist()
         assert all(a <= b + 1e-15 for a, b in zip(effs, effs[1:]))
 
     def test_outage_only_points_flagged_not_fatal(self):
         params = TurbulenceParams(sigma_x=0.1)
-        points = sweep(5, 1e-3, params, [-40.0, 10.0])
-        assert math.isnan(points[0].avg_ber)
-        assert any("outage_only" in n for n in points[0].notes)
-        assert math.isfinite(points[1].avg_ber)
+        table = sweep(5, 1e-3, params, [-40.0, 10.0])
+        assert math.isnan(table.avg_ber[0])
+        assert table.notes == ((OUTAGE_NOTE, (-40.0,)),)
+        assert math.isfinite(table.avg_ber[1])
 
     def test_broken_invariant_raises(self, monkeypatch):
         # A Q-function whose tail at the +inf sentinel is not 0 breaks the
@@ -347,8 +359,11 @@ OUTAGE_NOTE = "outage_only: transmission probability < 1e-12"
 
 
 def same_fields(a, b) -> bool:
-    # Dataclass equality in which NaN equals NaN.
-    return all(x == y or (x != x and y != y) for x, y in zip(astuple(a), astuple(b)))
+    # Field-by-field equality of two sweep tables, in which NaN equals NaN.
+    return all(
+        np.array_equal(x, y, equal_nan=True) if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(vars(a).values(), vars(b).values())
+    )
 
 
 laws = st.builds(
@@ -371,37 +386,41 @@ class TestGridProperties:
     # truncated tails of the quadrature.
     @example(params=TurbulenceParams(1.1125369292536007e-308, 2, 2), n=2, po=0.375, grid=[0.0])
     def test_rows_equal_per_point_functions(self, params, n, po, grid):
-        points = sweep(n, po, params, grid)
+        table = sweep(n, po, params, grid)
         quick = efficiency_sweep(n, po, params, grid)
         schemes = scheme_grid(n, po, grid)
-        assert len(points) == len(quick) == len(grid)
-        for row, (point, fast) in enumerate(zip(points, quick)):
-            assert same_fields(fast, replace(point, avg_ber=math.nan))
-            scheme = compute_boundaries(n, po, LinkBudget.from_db(point.snr_db))
+        assert same_fields(quick, replace(table, avg_ber=np.full(len(grid), math.nan)))
+        assert table.snr_db == schemes.snr_db == tuple(grid)
+        assert np.array_equal(table.avg_snr, schemes.avg_snr)
+        outage_only = []
+        for row, snr_db in enumerate(table.snr_db):
+            scheme = compute_boundaries(n, po, LinkBudget.from_db(snr_db))
             outage, probs = region_probabilities(scheme, params)
             ber = average_ber_adaptive(scheme, params)
-            assert point.outage_prob == outage
-            assert point.region_probs == tuple(probs.tolist())
-            assert point.spectral_eff == spectral_efficiency(scheme, params)
+            assert table.outage_prob[row] == outage
+            assert table.region_probs[row].tolist() == probs.tolist()
+            assert table.spectral_eff[row] == spectral_efficiency(scheme, params)
             if ber is None:
-                assert math.isnan(point.avg_ber)
+                assert math.isnan(table.avg_ber[row])
+                outage_only.append(snr_db)
             else:
-                assert point.avg_ber == ber
-            assert point.orders == tuple(order.m for order in scheme.orders)
-            assert point.notes == scheme.notes + (() if ber is not None else (OUTAGE_NOTE,))
+                assert table.avg_ber[row] == ber
+            assert table.orders == tuple(order.m for order in scheme.orders)
             assert np.array_equal(schemes.boundaries[row], scheme.boundaries)
             assert np.array_equal(
                 schemes.thresholds_by_order[row], scheme.thresholds_by_order, equal_nan=True
             )
+        notes = tuple((note, table.snr_db) for note in scheme.notes)
+        assert table.notes == notes + (((OUTAGE_NOTE, tuple(outage_only)),) if outage_only else ())
 
     @settings(max_examples=100, deadline=None)
     @given(params=laws, n=order_counts, po=targets, grid=grids)
     @example(params=TurbulenceParams(0.3), n=5, po=0.5, grid=[0.0, 10.0])
     @example(params=TurbulenceParams(0.3), n=8, po=1e-3, grid=[20.0, 60.0])
     def test_adaptive_ber_never_exceeds_target(self, params, n, po, grid):
-        for point in sweep(n, po, params, grid):
-            if not math.isnan(point.avg_ber):
-                assert 0.0 <= point.avg_ber <= po
+        for ber in sweep(n, po, params, grid).avg_ber.tolist():
+            if not math.isnan(ber):
+                assert 0.0 <= ber <= po
 
     @settings(max_examples=100, deadline=None)
     @given(n=order_counts, po=targets, grid=grids)
@@ -417,5 +436,5 @@ class TestGridProperties:
     @example(params=TurbulenceParams(0.3), n=5, po=0.5, grid=[0.0, 10.0])
     @example(params=TurbulenceParams(0.9, 4, 4), n=8, po=1e-9, grid=[-50.0, 0.0, 100.0])
     def test_efficiency_nondecreasing_in_snr(self, params, n, po, grid):
-        effs = [point.spectral_eff for point in efficiency_sweep(n, po, params, grid)]
+        effs = efficiency_sweep(n, po, params, grid).spectral_eff.tolist()
         assert all(a <= b for a, b in zip(effs, effs[1:]))

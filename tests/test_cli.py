@@ -11,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from fso_adapt import cli
+from fso_adapt import adaptation, cli
 from fso_adapt.adaptation import compute_boundaries
 from fso_adapt.cli import main
-from fso_adapt.link import LinkBudget, ber_average
+from fso_adapt.link import LinkBudget, ber_average, linear_snr
 from fso_adapt.turbulence import TurbulenceParams
 
 def run_cli(args):
@@ -206,6 +206,20 @@ class TestBer:
         log_gap = [abs(math.log(r[j_ad]) / math.log(r[j_fx]) - 1.0) for r in rows]
         assert all(a >= b for a, b in zip(log_gap, log_gap[1:]))
         assert log_gap[-1] < 0.1
+
+
+@pytest.mark.parametrize("command", ["spectral", "ber"])
+def test_sweep_converts_its_grid_once(command, monkeypatch, capsys):
+    conversions = []
+
+    def spy(grid):
+        conversions.append(list(grid))
+        return linear_snr(grid)
+
+    monkeypatch.setattr(adaptation, "linear_snr", spy)
+    monkeypatch.setattr(cli, "linear_snr", spy)
+    assert run_cli([command, "--snr", "0:30:10"]) == 0
+    assert conversions == [[0.0, 10.0, 20.0, 30.0]]
 
 
 class TestCapacityCommand:

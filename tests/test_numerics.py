@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from fso_adapt import numerics
 from fso_adapt.numerics import (
     QuadratureRule,
     gauss_hermite,
@@ -290,6 +291,24 @@ class TestIntegrateTruncatedNormal:
         want = [integrate_truncated_normal(f, a, b, self.MEAN, self.STD) for a, b in zip(lo.flat, hi.flat)]
         assert got.ravel().tolist() == want
         assert got[1, 2] == 0.0  # beyond the truncated tail
+
+    def test_panel_cap_keeps_rows_bit_for_bit(self, monkeypatch):
+        # With one panel per call every interval is its own group, and
+        # each row still equals the uncapped batch and a scalar call.
+        f = lambda i, c: c * np.log1p(i) / (1.0 + i * i)
+        lo = np.array([0.0, 0.2, 0.8, 1.3, 1000.0])
+        hi = np.array([0.2, 0.8, math.inf, 1.9, math.inf])
+        c = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        batch = integrate_truncated_normal(f, lo, hi, self.MEAN, self.STD, args=(c,))
+        calls = []
+        monkeypatch.setattr(numerics, "MAX_PANELS_PER_CALL", 1)
+        capped = integrate_truncated_normal(
+            lambda i, c: calls.append(len(i)) or f(i, c), lo, hi, self.MEAN, self.STD, args=(c,)
+        )
+        assert capped.tolist() == batch.tolist()
+        assert len(calls) == lo.size and calls[-1] == 0  # the last interval is beyond the tail
+        for row, a, b, k in zip(capped.tolist(), lo, hi, c):
+            assert row == integrate_truncated_normal(f, a, b, self.MEAN, self.STD, args=(k,))
 
     def test_per_interval_parameters(self):
         # args reach f as one column per panel, so f(I) = c * I gives
