@@ -52,7 +52,7 @@ def _check_boundaries(boundaries: np.ndarray, n_orders: int) -> None:
         raise ValueError("boundaries must be strictly increasing")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdaptiveScheme:
     """Region boundaries and the orders they activate, for one SNR point.
 
@@ -80,7 +80,7 @@ class AdaptiveScheme:
         return tuple(order.bits for order in self.orders)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SchemeGrid:
     """The adaptive scheme at every point of an ascending SNR grid (dB).
 
@@ -97,7 +97,7 @@ class SchemeGrid:
     notes: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepTable:
     """Analytic performance over an ascending SNR grid (dB).
 

@@ -13,11 +13,15 @@ go to stderr, one line per distinct note, and into the JSON metadata
 under ``notes``; CSV output never carries them.
 
 An optional config file (plain ``key=value`` lines, ``#`` comments)
-supplies defaults; explicit command-line flags win.  The environment
-variable ``FSO_ADAPT_OUTDIR`` prefixes relative output paths.
+of a sweep command is read as that command's flags, given before the
+command-line ones, so explicit flags win.  The environment variable
+``FSO_ADAPT_OUTDIR`` prefixes relative output paths.
 
 Exit codes: 0 success, 1 validation failure, 2 usage error (a
-malformed input; one ``error:`` line on stderr).
+malformed input).  An error that argparse detects, such as a value of
+the wrong type on the command line or in a config file, prints a usage
+line and an ``error:`` line on stderr; any other usage error prints one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -61,17 +65,6 @@ _BPSK_SEARCH_DB = (-30.0, 90.0)
 # falls monotonically with SNR, and its rounding noise (about 1e-14
 # relative) moves inverse_q(BER) by less than 1e-12.
 _BPSK_Q_MARGIN = 1e-11
-
-_SWEEP_DEFAULTS = {
-    "snr": "0:30:0.5",
-    "sigma_x": 0.3,
-    "po": 1e-3,
-    "n": 5,
-    "mimo": None,
-    "seed": 1234,
-    "format": "csv",
-    "out": None,
-}
 
 # (label, SNR in dB, law, fixed order or None for the adaptive scheme):
 # quick, but covering fixed and adaptive, weak and strong turbulence and
@@ -138,7 +131,10 @@ def _parse_snr_range(text: str) -> tuple[float, float, float]:
     return start, stop, step
 
 
-def _parse_mimo(text: str) -> tuple[int, int]:
+def _mimo(text: str | None) -> tuple[int, int] | None:
+    # An aperture array FxL; no value, "" and "none" mean a single path.
+    if text is None or text.lower() in ("", "none"):
+        return None
     try:
         f_tx, l_rx = (int(part) for part in text.lower().split("x"))
     except ValueError:
@@ -148,7 +144,14 @@ def _parse_mimo(text: str) -> tuple[int, int]:
     return f_tx, l_rx
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, keys: set[str]) -> list[str]:
+    """The ``key=value`` lines of a config file as ``--key=value`` flags.
+
+    Keys are case-insensitive, with ``-`` and ``_`` alike, and must be
+    in ``keys``; checking them here keeps argparse from taking a key
+    that merely abbreviates a flag.  The ``=`` form keeps a value such
+    as ``-10:30:1`` from being read as an option.
+    """
     values = {}
     try:
         lines = Path(path).read_text().splitlines()
@@ -162,54 +165,18 @@ def _load_config_file(path: str) -> dict:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
         values[key.strip().lower().replace("-", "_")] = value.strip()
-    return values
+    unknown = set(values) - keys
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    return [f"--{key.replace('_', '-')}={value}" for key, value in values.items()]
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    # defaults < config file < explicit flags
-    resolved = dict(_SWEEP_DEFAULTS)
-    if getattr(args, "config", None):
-        file_values = _load_config_file(args.config)
-        unknown = set(file_values) - set(_SWEEP_DEFAULTS)
-        if unknown:
-            raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        resolved.update(file_values)
-    for key in _SWEEP_DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-    return resolved
-
-
-def _build_spec(command: str, args: argparse.Namespace) -> SweepSpec:
-    resolved = _resolve(args)
-    start, stop, step = _parse_snr_range(str(resolved["snr"]))
-    mimo = resolved["mimo"]
-    if isinstance(mimo, str):
-        mimo = _parse_mimo(mimo) if mimo.lower() not in ("", "none") else None
-    fmt = str(resolved["format"]).lower()
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"--format must be csv or json, got {fmt!r}")
-    try:
-        spec = SweepSpec(
-            command=command,
-            snr_start=start,
-            snr_stop=stop,
-            snr_step=step,
-            sigma_x=float(resolved["sigma_x"]),
-            po=float(resolved["po"]),
-            n_orders=int(resolved["n"]),
-            mimo=mimo,
-            seed=int(resolved["seed"]),
-            out=resolved["out"],
-            fmt=fmt,
-        )
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad parameter value: {exc}")
-    # capacity does not use the target BER.
-    if command != "capacity" and not (0.0 < spec.po <= 0.5):
-        raise UsageError(f"target_ber must lie in (0, 0.5], got {spec.po!r}")
-    return spec
+def _build_spec(args: argparse.Namespace) -> SweepSpec:
+    start, stop, step = _parse_snr_range(args.snr)
+    return SweepSpec(
+        args.command, start, stop, step, args.sigma_x, args.po, args.n,
+        _mimo(args.mimo), args.seed, args.out, args.format,
+    )
 
 
 def _format_value(value) -> str:
@@ -369,7 +336,7 @@ def cmd_capacity(spec: SweepSpec):
 def _run_sweep(table, args: argparse.Namespace) -> int:
     """Write the (columns, rows, notes, extra meta) that ``table`` returns,
     and each (note, SNR points) pair of notes as one line to stderr."""
-    spec = _build_spec(args.command, args)
+    spec = _build_spec(args)
     columns, rows, notes, meta = table(spec)
     for note, snrs in notes:
         if len(snrs) == 1:
@@ -403,7 +370,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError(f"--block-size must be >= 1, got {block}")
     blocks = math.ceil(symbols / block)
     budget = LinkBudget.from_db(args.snr_db)
-    channel = TurbulenceParams(args.sigma_x, *(_parse_mimo(args.mimo) if args.mimo else ()))
+    channel = TurbulenceParams(args.sigma_x, *(_mimo(args.mimo) or ()))
     if args.mode == "adaptive":
         mode = compute_boundaries(args.n, args.po, budget)
     else:
@@ -452,7 +419,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     # Built once per process: parsing never changes it, and --config
-    # values are merged in _resolve, not set as parser defaults.
+    # values are parsed as flags, not set as parser defaults.
     parser = argparse.ArgumentParser(
         prog="fso-adapt",
         description="Adaptive subcarrier-PSK optical link analysis over lognormal turbulence",
@@ -460,40 +427,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"fso-adapt {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="key=value config file; flags override it")
-    shared.add_argument("--sigma-x", dest="sigma_x", type=float, help="log-amplitude std dev")
-    shared.add_argument("--po", type=float, help="target bit error rate")
-    shared.add_argument("--n", type=int, help="number of modulation orders (2^1..2^N)")
-    shared.add_argument("--snr", help="SNR grid in dB as start:stop:step")
-    shared.add_argument("--mimo", help="aperture array as FxL (e.g. 2x2)")
-    shared.add_argument("--seed", type=int, help="seed echoed into outputs")
-    shared.add_argument("--out", help="output path (default: stdout)")
-    shared.add_argument("--format", choices=("csv", "json"), help="output format")
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--sigma-x", type=float, default=0.3, help="log-amplitude std dev")
+    model.add_argument("--po", type=float, default=1e-3, help="target bit error rate")
+    model.add_argument("--n", type=int, default=5, help="number of modulation orders (2^1..2^N)")
+    model.add_argument("--mimo", help="aperture array as FxL (e.g. 2x2), or none")
+    model.add_argument("--seed", type=int, default=1234, help="random seed, echoed into outputs")
+    model.add_argument("--out", help="output path (sweeps: instead of stdout; simulate: a JSON report)")
 
+    sweeps = argparse.ArgumentParser(add_help=False, parents=[model])
+    sweeps.add_argument("--config", help="key=value config file; flags override it")
+    sweeps.add_argument("--snr", default="0:30:0.5", help="SNR grid in dB as start:stop:step")
+    sweeps.add_argument("--format", type=str.lower, choices=("csv", "json"), default="csv",
+                        help="output format")
     for name, table, help_text in (
         ("spectral", cmd_spectral, "spectral efficiency sweep (adaptive, capacity bound, BPSK step)"),
         ("ber", cmd_ber, "average BER sweep (adaptive and every fixed order)"),
         ("thresholds", cmd_thresholds, "adaptation region boundaries per SNR point"),
         ("capacity", cmd_capacity, "capacity upper bound sweep (closed form and numeric)"),
     ):
-        cmd = sub.add_parser(name, parents=[shared], help=help_text)
+        cmd = sub.add_parser(name, parents=[sweeps], help=help_text)
         cmd.set_defaults(handler=functools.partial(_run_sweep, table))
 
-    sim = sub.add_parser("simulate", help="run the Monte Carlo link simulator at one point")
+    sim = sub.add_parser("simulate", parents=[model], help="run the Monte Carlo link simulator at one point")
     sim.set_defaults(handler=cmd_simulate)
     sim.add_argument("--mode", choices=("adaptive", "fixed"), default="adaptive")
     sim.add_argument("--m", type=int, default=2, help="constellation size in fixed mode")
-    sim.add_argument("--sigma-x", dest="sigma_x", type=float, default=0.3)
-    sim.add_argument("--po", type=float, default=1e-3)
-    sim.add_argument("--n", type=int, default=5)
-    sim.add_argument("--mimo", help="aperture array as FxL")
     sim.add_argument("--snr-db", dest="snr_db", type=float, required=True)
     sim.add_argument("--symbols", default="1e6", help="total symbol count (accepts 1e7 style)")
     sim.add_argument("--block-size", dest="block_size", type=int, default=1000)
-    sim.add_argument("--seed", type=int, default=1234)
     sim.add_argument("--workers", type=int, default=1)
-    sim.add_argument("--out", help="also write a JSON report here")
 
     val = sub.add_parser("validate", help="simulator-vs-analytics validation suite")
     val.set_defaults(handler=cmd_validate)
@@ -506,8 +469,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            # Any flag of the command but --config itself may come from
+            # the file.  Its flags go right after the command: argparse
+            # keeps the last value given, so explicit flags win.
+            keys = set(vars(args)) - {"command", "handler", "config"}
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _load_config_file(args.config, keys) + argv[at:])
         return args.handler(args)
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -189,16 +189,13 @@ def _run_chunk(config: SimConfig, chunk_index: int, block_lo: int, block_hi: int
         rng.standard_normal(out=noise[: slots * (sending + quad)])
         return int(kernel(amp, m_blocks, u, noise, slots, TAB_RE, TAB_IM, TAB_OFFSET, POPCOUNT))
 
-    if k <= CHUNK_SYMBOLS:
-        errors = count(k)
-    else:
-        # Oversized block: chunking guarantees nb == 1 here; slab the
-        # symbol stream with the same draw order.  An outage block draws
-        # nothing (sending == 0 leaves the range empty).
-        assert nb == 1
-        errors = sum(
-            count(min(CHUNK_SYMBOLS, k - done)) for done in range(0, k * sending, CHUNK_SYMBOLS)
-        )
+    # A chunk holds at most CHUNK_SYMBOLS symbols, or else one oversized
+    # block, whose symbol stream is cut into slabs of that size with the
+    # same draw order.  A chunk whose blocks are all in outage draws
+    # nothing (sending == 0 leaves the range empty).
+    errors = sum(
+        count(min(CHUNK_SYMBOLS, k - done)) for done in range(0, k * sending, CHUNK_SYMBOLS)
+    )
     return errors, bits_sent, histogram, outage_blocks
 
 
@@ -257,7 +254,10 @@ class ValidationResult:
 
 def _fixed_point_size(analytic_ber: float, bits_per_symbol: int, tolerance: float) -> int | None:
     # Bits needed so that the 95% CI half-width stays below
-    # tolerance * analytic value; None when the guard rail forbids it.
+    # tolerance * analytic value; None when the guard rail forbids it,
+    # as it does for an analytic BER that underflows to 0.
+    if analytic_ber <= 0.0:
+        return None
     needed = 1.96 ** 2 * (1.0 - analytic_ber) / (tolerance ** 2 * analytic_ber)
     needed = max(needed, TARGET_ERRORS / analytic_ber)
     symbols = int(math.ceil(needed / bits_per_symbol))
@@ -353,7 +353,9 @@ def validate_point(
         )
     max_bits = mode.orders[-1].bits
     symbols = 9.0 * max_bits / (tolerance ** 2 * mean_bits)  # throughput CI
-    symbols = max(symbols, TARGET_ERRORS / (analytic_ber * mean_bits), 10 ** 6)
+    # An analytic BER that underflows to 0 would need an unbounded run.
+    errors_bound = TARGET_ERRORS / (analytic_ber * mean_bits) if analytic_ber > 0.0 else math.inf
+    symbols = max(symbols, errors_bound, 10 ** 6)
     if symbols > MAX_TOTAL_SYMBOLS:
         return ValidationResult(
             status="inconclusive",

@@ -366,6 +366,23 @@ def same_fields(a, b) -> bool:
     )
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: compute_boundaries(5, 1e-3, LinkBudget.from_db(15.0)),
+        lambda: scheme_grid(5, 1e-3, [0.0, 10.0]),
+        lambda: sweep(5, 1e-3, TurbulenceParams(0.3), [0.0, 10.0]),
+    ],
+    ids=["AdaptiveScheme", "SchemeGrid", "SweepTable"],
+)
+def test_array_holders_compare_by_identity(build):
+    # The generated field-wise == would compare numpy arrays and raise.
+    a, b = build(), build()
+    assert same_fields(a, b)
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 laws = st.builds(
     TurbulenceParams,
     sigma_x=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),

@@ -4,6 +4,7 @@ determinism, config precedence and exit codes."""
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import warnings
@@ -232,6 +233,24 @@ class TestCapacityCommand:
             assert row[2] == pytest.approx(row[1], rel=1e-9)
 
 
+def _meta(field):
+    return lambda out, written: json.loads(out)["meta"][field]
+
+
+# Every config key: (value in the file, value of the flag, how the output
+# shows it, what it shows for the file's value and for the flag's).
+CONFIG_CASES = {
+    "snr": ("5:10:5", "0:0:1", _meta("snr_db"), "5.0:10.0:5.0", "0.0:0.0:1.0"),
+    "sigma_x": ("0.4", "0.2", _meta("sigma_x"), 0.4, 0.2),
+    "po": ("1e-2", "1e-4", _meta("po"), 1e-2, 1e-4),
+    "n": ("3", "2", _meta("n_orders"), 3, 2),
+    "mimo": ("2x2", "1x3", _meta("mimo"), "2x2", "1x3"),
+    "seed": ("7", "8", _meta("seed"), 7, 8),
+    "format": ("JSON", "csv", lambda out, written: out.splitlines()[0], "{", "snr_db,i_1,i_2,i_3,i_4,i_5"),
+    "out": ("a.json", "b.json", lambda out, written: (out, written), ("", ["a.json"]), ("", ["b.json"])),
+}
+
+
 class TestFormatsAndConfig:
     def test_json_envelope(self, tmp_path):
         out = tmp_path / "fig.json"
@@ -281,6 +300,41 @@ class TestFormatsAndConfig:
         cfg.write_text("sigma = 0.5\n")
         assert run_cli(["thresholds", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("key", sorted(CONFIG_CASES))
+    def test_config_value_reaches_output_and_flag_overrides_it(self, key, tmp_path, monkeypatch, capsys):
+        in_file, on_flag, shown, from_file, from_flag = CONFIG_CASES[key]
+        cfg = tmp_path / "sweep.cfg"
+        # JSON output, so that meta shows the value, unless the format is
+        # the key under test.
+        cfg.write_text(f"{key} = {in_file}\n" + ("" if key == "format" else "format = json\n"))
+        flag = f"--{key.replace('_', '-')}={on_flag}"
+        for run, (extra, want) in enumerate((([], from_file), ([flag], from_flag))):
+            results = tmp_path / f"results{run}"
+            monkeypatch.setenv("FSO_ADAPT_OUTDIR", str(results))
+            assert run_cli(["thresholds", "--config", str(cfg), *extra]) == 0
+            written = sorted(path.name for path in results.glob("*"))
+            assert shown(capsys.readouterr().out, written) == want, extra
+
+    @pytest.mark.parametrize(
+        "key, value", [("sigma_x", "abc"), ("po", "1e-3x"), ("n", "2.5"), ("seed", "x"), ("format", "xml")]
+    )
+    def test_malformed_config_value_is_reported_as_its_flag(self, key, value, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        reports = []
+        for argv in (["--config", str(cfg)], [f"--{key.replace('_', '-')}={value}"]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(["thresholds", *argv])
+            reports.append((exc.value.code, capsys.readouterr()))
+        assert reports[0] == reports[1]
+        code, (out, err) = reports[0]
+        assert code == 2 and out == ""
+        assert f"error: argument --{key.replace('_', '-')}: invalid " in err
+
+    def test_format_is_case_insensitive(self, capsys):
+        assert run_cli(["thresholds", "--snr", "10:10:1", "--format", "JSON"]) == 0
+        assert json.loads(capsys.readouterr().out)["meta"]["command"] == "thresholds"
+
     def test_output_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FSO_ADAPT_OUTDIR", str(tmp_path / "results"))
         run_cli(["thresholds", "--po", "1e-3", "--n", "2", "--snr", "10:10:1", "--out", "thr.csv"])
@@ -290,6 +344,32 @@ class TestFormatsAndConfig:
         assert run_cli(["thresholds", "--po", "1e-3", "--n", "2", "--snr", "10:10:1"]) == 0
         captured = capsys.readouterr().out
         assert captured.splitlines()[0] == "snr_db,i_1,i_2"
+
+
+SWEEP_COMMANDS = ("spectral", "ber", "thresholds", "capacity")
+
+
+def readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("fso-adapt ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == {*SWEEP_COMMANDS, "simulate", "validate"}
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        if args.command in SWEEP_COMMANDS:
+            cli._build_spec(args)
+
+
+def test_simulate_and_sweeps_share_model_defaults():
+    model = ("sigma_x", "po", "n", "mimo", "seed", "out")
+    parse = cli.build_parser().parse_args
+    simulate, sweep_args = parse(["simulate", "--snr-db", "10"]), parse(["ber"])
+    assert {k: getattr(simulate, k) for k in model} == {k: getattr(sweep_args, k) for k in model}
+    assert [getattr(simulate, k) for k in model] == [0.3, 1e-3, 5, None, 1234, None]
 
 
 class TestParserReuse:
@@ -441,6 +521,14 @@ class TestSimulateCommand:
         assert run_cli(args) == 0
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("mimo", ["none", "1x1"])
+    def test_single_path_spellings_agree(self, mimo, capsys):
+        args = ["simulate", "--snr-db", "15", "--symbols", "1e4", "--seed", "3"]
+        assert run_cli(args) == 0
+        single = capsys.readouterr().out
+        assert run_cli(args + ["--mimo", mimo]) == 0
+        assert capsys.readouterr().out == single
 
     @pytest.mark.parametrize(
         "flags, err",

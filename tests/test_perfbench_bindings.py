@@ -30,3 +30,15 @@ def test_tracer_sites_resolve(harness):
 def test_workloads_import(harness):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
     assert set(harness("workloads").WORKLOADS) == {workload["name"] for workload in declared}
+
+
+def test_analytic_figures_pass_the_harness_check(harness, tmp_path):
+    # The harness's own check: rows within 1e-9 of the committed
+    # reference, adaptive BER <= P_o, and the same bytes on a repeat (the
+    # warm-up operation runs again in the round).
+    workload = harness("workloads").AnalyticFigures(seed=1, workdir=tmp_path)
+    ops = [workload.warmup(), *workload.round(0)]
+    assert sorted(op.label for op in ops[1:]) == sorted(harness("workloads").FIGURES)
+    for op in ops:
+        _, output = workload.execute(op)
+        assert workload.check(op, output) == [], op.label

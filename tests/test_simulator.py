@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from fso_adapt import _psk_kernel_py, simulator
 from fso_adapt._tables import POPCOUNT, TAB_IM, TAB_OFFSET, TAB_RE
-from fso_adapt.adaptation import compute_boundaries, spectral_efficiency
-from fso_adapt.link import LinkBudget, ModOrder
+from fso_adapt.adaptation import average_ber_adaptive, compute_boundaries, spectral_efficiency
+from fso_adapt.link import LinkBudget, ModOrder, ber_average
 from fso_adapt.numerics import inverse_q, q_function
 from fso_adapt.simulator import SimConfig, run, validate_point
 from fso_adapt.turbulence import MimoConfig, TurbulenceParams
@@ -419,6 +419,21 @@ class TestSimConfig:
                 budget=LinkBudget.from_db(12.0),
             )
 
+    def test_config_holding_a_scheme_compares(self):
+        budget = LinkBudget.from_db(10.0)
+
+        def config(scheme):
+            return SimConfig(
+                blocks=10, symbols_per_block=10, seed=1, mode=scheme,
+                channel=no_fading(), budget=budget,
+            )
+
+        scheme = compute_boundaries(3, 1e-3, budget)
+        assert config(scheme) == config(scheme)
+        assert hash(config(scheme)) == hash(config(scheme))
+        # Schemes compare by identity, so equal contents are not enough.
+        assert config(scheme) != config(compute_boundaries(3, 1e-3, budget))
+
 
 class TestRunDeterminism:
     @staticmethod
@@ -591,6 +606,25 @@ class TestValidatePoint:
         result = validate_point(20.0, TurbulenceParams(sigma_x=0.1), ModOrder(2), 1e-4, seed=105)
         assert result.status == "inconclusive"
         assert result.report is None
+
+    @pytest.mark.parametrize("adaptive", [False, True], ids=["fixed_bpsk_80dB", "adaptive_120dB"])
+    def test_underflowed_analytic_ber_is_inconclusive(self, adaptive, monkeypatch):
+        # Sizing a run for an analytic BER of exactly 0 divided by zero.
+        if adaptive:
+            snr_db, params = 120.0, TurbulenceParams(sigma_x=0.3)
+            mode = compute_boundaries(5, 1e-3, LinkBudget.from_db(snr_db))
+            assert average_ber_adaptive(mode, params) == 0.0
+        else:
+            snr_db, params, mode = 80.0, TurbulenceParams(sigma_x=1e-6), ModOrder(2)
+            assert ber_average(mode, params, LinkBudget.from_db(snr_db)) == 0.0
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("validate_point ran a simulation")
+
+        monkeypatch.setattr(simulator, "run", no_run)
+        result = validate_point(snr_db, params, mode, 0.05)
+        assert result.status == "inconclusive" and result.report is None
+        assert result.details["reason"] == "required sample size exceeds the guard rail"
 
     def test_tolerance_validation(self):
         # An infinite tolerance would pass any fixed-order simulation.
